@@ -107,7 +107,6 @@
 #include "runner/report.hpp"
 #include "trace/spec.hpp"
 #include "trace/stream_reader.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/workloads.hpp"
 #include "util/logging.hpp"
 

@@ -5,6 +5,7 @@
 
 #include "prof/export.hpp"
 #include "telemetry/export.hpp"
+#include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::runner {
@@ -33,9 +34,9 @@ appendRunJson(std::string& out, const RunResult& r,
               const ReportOptions& opts)
 {
     out += "    {\"index\": " + std::to_string(r.index);
-    out += ", \"benchmark\": \"" + detail::jsonEscape(r.benchmark) + "\"";
-    out += ", \"policy\": \"" + detail::jsonEscape(r.policy) + "\"";
-    out += ", \"label\": \"" + detail::jsonEscape(r.label) + "\"";
+    out += ", \"benchmark\": \"" + json::escape(r.benchmark) + "\"";
+    out += ", \"policy\": \"" + json::escape(r.policy) + "\"";
+    out += ", \"label\": \"" + json::escape(r.label) + "\"";
     out += std::string(", \"mode\": ") +
            (r.multiCore ? "\"multi\"" : "\"single\"");
     out += ", \"ipc\": " + formatDouble(r.ipc);
@@ -98,7 +99,7 @@ appendRunJson(std::string& out, const RunResult& r,
         out += ", \"metrics\": " +
                telemetry::metricsJson(*r.telemetry, "    ");
     if (!r.ok()) {
-        out += ", \"error\": \"" + detail::jsonEscape(r.error) + "\"";
+        out += ", \"error\": \"" + json::escape(r.error) + "\"";
         out += std::string(", \"errorCode\": \"") +
                errorCodeName(r.errorCode) + "\"";
     }
@@ -145,7 +146,7 @@ toJson(const RunSet& set, const ReportOptions& opts)
     const auto summaries = set.policySummaries();
     for (std::size_t i = 0; i < summaries.size(); ++i) {
         const auto& s = summaries[i];
-        out += "    {\"policy\": \"" + detail::jsonEscape(s.policy) + "\"";
+        out += "    {\"policy\": \"" + json::escape(s.policy) + "\"";
         out += ", \"runs\": " + std::to_string(s.runs);
         out += ", \"geomeanIpc\": " + formatDouble(s.geomeanIpc);
         out += ", \"meanMpki\": " + formatDouble(s.meanMpki) + "}";

@@ -53,7 +53,6 @@
 #include <string>
 
 #include "runner/run_request.hpp"
-#include "util/json_writer.hpp"
 
 namespace mrp::runner {
 
@@ -87,26 +86,6 @@ std::string toTraceJson(const RunSet& set);
 
 /** Write @p content to @p path; throws FatalError on I/O failure. */
 void writeFile(const std::string& path, const std::string& content);
-
-namespace detail {
-
-// Compatibility aliases: the emission helpers formerly defined here
-// moved to the shared util/json_writer.hpp so the checkpoint journal
-// and the telemetry exporters use the same byte-stable primitives.
-
-inline std::string
-formatDouble(double v)
-{
-    return json::formatDouble(v);
-}
-
-inline std::string
-jsonEscape(const std::string& s)
-{
-    return json::escape(s);
-}
-
-} // namespace detail
 
 } // namespace mrp::runner
 

@@ -1,11 +1,8 @@
 #include "trace/spec.hpp"
 
-#include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "trace/sampled_source.hpp"
-#include "trace/wire_format.hpp"
 #include "trace/workloads.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
@@ -29,42 +26,6 @@ maybeDecodeAhead(std::unique_ptr<TraceSource> src,
         return src;
     return std::make_unique<DecodeAheadSource>(std::move(src),
                                                opts.queueDepth);
-}
-
-/** Read just enough of a trace-file header to learn its identity
- * (name + instruction count) without decoding the payload. */
-void
-peekHeader(const std::string& path, std::string& name,
-           InstCount& instructions)
-{
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, ErrorCode::Io, "cannot open for reading: " + path);
-    char base[wire::kBaseHeaderBytes] = {};
-    is.read(base, sizeof(base));
-    fatalIf(!is, ErrorCode::CorruptInput,
-            "truncated trace header in " + path);
-    fatalIf(std::memcmp(base, wire::kMagic, sizeof(wire::kMagic)) != 0,
-            ErrorCode::CorruptInput,
-            "not a trace file (bad magic): " + path);
-    std::uint32_t version = 0;
-    std::uint64_t insts = 0;
-    std::uint32_t name_len = 0;
-    std::memcpy(&version, base + 4, sizeof(version));
-    std::memcpy(&insts, base + 8, sizeof(insts));
-    std::memcpy(&name_len, base + 24, sizeof(name_len));
-    fatalIf(version < 1 || version > 3, ErrorCode::CorruptInput,
-            "unsupported trace version " + std::to_string(version) +
-                " in " + path);
-    fatalIf(name_len > wire::kMaxNameLen, ErrorCode::CorruptInput,
-            "implausible trace name length in " + path);
-    if (version == 3)
-        is.seekg(4, std::ios::cur); // the chunk-capacity field
-    name.resize(name_len);
-    if (name_len > 0)
-        is.read(name.data(), name_len);
-    fatalIf(!is, ErrorCode::CorruptInput,
-            "truncated trace name in " + path);
-    instructions = insts;
 }
 
 } // namespace
@@ -117,7 +78,11 @@ TraceSpec::file(std::string path)
     TraceSpec s;
     s.kind_ = Kind::File;
     s.path_ = std::move(path);
-    peekHeader(s.path_, s.name_, s.instructions_);
+    // The identity comes from the validated header alone (no chunk is
+    // read), so an unreadable or non-v3 file fails here, not mid-run.
+    const FileTraceSource header(s.path_);
+    s.name_ = header.name();
+    s.instructions_ = header.instructions();
     return s;
 }
 

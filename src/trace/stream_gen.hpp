@@ -8,8 +8,8 @@
  * the deterministic RNG, and the exact instruction budget: a source
  * built for N instructions emits exactly N (pads are clamped to the
  * remaining budget), so instructions() is exact up front, warmup
- * windows derived from it are exact, and a materialized copy of the
- * stream round-trips through trace_io's totals validation. The record
+ * windows derived from it are exact, and a written copy of the stream
+ * passes the trace reader's totals validation. The record
  * sequence depends only on the family parameters — never on the chunk
  * size — so any chunking of the same source is equivalent.
  *

@@ -9,12 +9,9 @@
 #include <cstring>
 #include <fstream>
 #include <new>
-#include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "prof/profiler.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/wire_format.hpp"
 #include "util/crc32.hpp"
 #include "util/fault_injection.hpp"
@@ -42,11 +39,11 @@ hex32(std::uint32_t v)
 }
 
 /**
- * Bounds-checked cursor over either a stream or a memory range —
- * unifies header/chunk parsing across the buffered, mmap, and
- * monolithic read paths. Every read is validated against the bytes
- * remaining before it happens, so corrupt length fields fail with the
- * offset where the data ran dry instead of driving allocations.
+ * Bounds-checked cursor over either a stream or a memory range, so the
+ * buffered and mmap read paths share one header/chunk parser. Every
+ * read is validated against the bytes remaining before it happens, so
+ * corrupt length fields fail with the offset where the data ran dry
+ * instead of driving allocations.
  */
 class ByteCursor
 {
@@ -62,9 +59,6 @@ class ByteCursor
 
     std::uint64_t offset() const { return offset_; }
     std::uint64_t remaining() const { return remaining_; }
-
-    /** Memory-mode only: pointer to the current position. */
-    const unsigned char* ptr() const { return mem_ + offset_; }
 
     void
     read(void* dst, std::uint64_t size, const char* what)
@@ -134,7 +128,8 @@ struct V3Header
 
 /**
  * Parse and CRC-validate a v3 header from @p in (positioned at the
- * magic). Throws CorruptInput on any malformed field.
+ * magic). Throws CorruptInput on any malformed field, and on any
+ * version but 3.
  */
 V3Header
 parseV3Header(ByteCursor& in)
@@ -145,8 +140,11 @@ parseV3Header(ByteCursor& in)
             ErrorCode::CorruptInput, "not a trace stream (bad magic)");
     const auto version = in.get<std::uint32_t>("version");
     fatalIf(version != 3, ErrorCode::CorruptInput,
-            "expected a v3 chunked trace, found version " +
-                std::to_string(version));
+            "unsupported trace format version " +
+                std::to_string(version) +
+                ": only v3 (chunked) files are read; convert a v1/v2 "
+                "file with 'mrp_sim_cli --trace OLD --dump NEW' using "
+                "an earlier build that still reads it");
 
     V3Header h;
     h.instructions = in.get<std::uint64_t>("instruction count");
@@ -245,31 +243,30 @@ struct ChunkHead
 
 /**
  * Read one chunk header from @p in and validate its record count
- * against the header totals and the bytes physically remaining.
- * @p base is the absolute file offset of the cursor's origin, so
- * diagnostics can name the real position.
+ * against the chunk @p capacity, the @p records_left the file header
+ * still owes, and the bytes physically remaining. @p base is the
+ * absolute file offset of the cursor's origin, so diagnostics can name
+ * the real position.
  */
 ChunkHead
-readChunkHead(ByteCursor& in, const V3Header& h,
-              std::uint64_t records_served, std::uint64_t base)
+readChunkHead(ByteCursor& in, std::uint32_t capacity,
+              std::uint64_t records_left, std::uint64_t base)
 {
     ChunkHead c;
     c.fileOffset = base + in.offset();
     c.count = in.get<std::uint32_t>("chunk record count");
     c.crc = in.get<std::uint32_t>("chunk CRC");
     c.instructions = in.get<std::uint64_t>("chunk instruction count");
-    fatalIf(c.count == 0 || c.count > h.chunkCapacity,
-            ErrorCode::CorruptInput,
+    fatalIf(c.count == 0 || c.count > capacity, ErrorCode::CorruptInput,
             "corrupt chunk at offset " +
                 std::to_string(c.fileOffset) + ": record count " +
                 std::to_string(c.count) + " outside [1, " +
-                std::to_string(h.chunkCapacity) + "]");
-    fatalIf(c.count > h.recordCount - records_served,
-            ErrorCode::CorruptInput,
+                std::to_string(capacity) + "]");
+    fatalIf(c.count > records_left, ErrorCode::CorruptInput,
             "corrupt chunk at offset " +
                 std::to_string(c.fileOffset) + ": record count " +
                 std::to_string(c.count) + " exceeds the " +
-                std::to_string(h.recordCount - records_served) +
+                std::to_string(records_left) +
                 " record(s) the header has left");
     fatalIf(c.count * sizeof(Record) > in.remaining(),
             ErrorCode::CorruptInput,
@@ -296,24 +293,9 @@ validateChunkPayload(const ChunkHead& c, const Record* records)
                 ": instruction count does not match its records");
 }
 
-/** End-of-stream totals check shared by every v3 reader. */
-void
-validateTotals(const V3Header& h, std::uint64_t records_served,
-               InstCount insts_served, std::uint64_t trailing)
-{
-    fatalIf(trailing != 0, ErrorCode::CorruptInput,
-            std::to_string(trailing) +
-                " trailing byte(s) after the final chunk");
-    fatalIf(records_served != h.recordCount, ErrorCode::CorruptInput,
-            "trace ended with " + std::to_string(records_served) +
-                " record(s); header claims " +
-                std::to_string(h.recordCount));
-    fatalIf(insts_served != h.instructions, ErrorCode::CorruptInput,
-            "trace header instruction count does not match records");
-}
-
-/** Reject a record count that cannot fit in the remaining payload
- * bytes (chunk headers included) before anything is allocated. */
+/** Reject a record count that cannot fit in the @p payload_avail bytes
+ * after the header (chunk headers included) before anything is
+ * allocated. */
 void
 validatePayloadFits(const V3Header& h, std::uint64_t payload_avail)
 {
@@ -323,7 +305,8 @@ validatePayloadFits(const V3Header& h, std::uint64_t payload_avail)
                 std::to_string(h.recordCount) +
                 " records but only " +
                 std::to_string(payload_avail) +
-                " payload byte(s) remain");
+                " payload byte(s) remain after offset " +
+                std::to_string(h.payloadStart));
     const std::uint64_t chunks =
         (h.recordCount + h.chunkCapacity - 1) / h.chunkCapacity;
     fatalIf(h.recordCount * sizeof(Record) +
@@ -332,79 +315,13 @@ validatePayloadFits(const V3Header& h, std::uint64_t payload_avail)
             ErrorCode::CorruptInput,
             "truncated trace stream: " + std::to_string(chunks) +
                 " chunk(s) of " + std::to_string(h.recordCount) +
-                " records do not fit in " +
+                " records do not fit in the " +
                 std::to_string(payload_avail) +
-                " payload byte(s)");
+                " payload byte(s) after offset " +
+                std::to_string(h.payloadStart));
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------------
-// Monolithic v3 bridge (writeTrace/readTrace dispatch here for V3).
-
-void
-writeChunkedTrace(std::ostream& os, const Trace& trace,
-                  std::size_t chunk_records)
-{
-    const auto capacity = static_cast<std::uint32_t>(std::clamp(
-        chunk_records, std::size_t{1}, std::size_t{kMaxChunkRecords}));
-    const auto& records = trace.records();
-
-    static_assert(sizeof(Record) == 16, "record layout changed");
-    const std::uint64_t chunks =
-        (records.size() + capacity - 1) / capacity;
-    std::string buf = v3HeaderBytes(
-        trace.name(), static_cast<std::uint64_t>(trace.instructions()),
-        records.size(), capacity);
-    buf.reserve(buf.size() + records.size() * sizeof(Record) +
-                chunks * kChunkHeaderBytes);
-    for (std::size_t pos = 0; pos < records.size(); pos += capacity) {
-        const auto n = static_cast<std::uint32_t>(
-            std::min<std::size_t>(capacity, records.size() - pos));
-        const std::uint64_t insts = sumCounts(records.data() + pos, n);
-        put(buf, n);
-        put(buf, chunkCrc(n, insts, records.data() + pos));
-        put(buf, insts);
-        buf.append(
-            reinterpret_cast<const char*>(records.data() + pos),
-            n * sizeof(Record));
-    }
-
-    fault::checkCorrupt("trace_io.write", buf.data(), buf.size());
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    fatalIf(!os, ErrorCode::Io, "failed writing trace stream");
-}
-
-Trace
-readChunkedTrace(std::istream& is, std::uint64_t available)
-{
-    ByteCursor in(is, available);
-    const V3Header h = parseV3Header(in);
-    validatePayloadFits(h, in.remaining());
-
-    std::vector<Record> records;
-    try {
-        fault::checkAlloc("trace_io.read.alloc");
-        records.resize(h.recordCount);
-    } catch (const std::bad_alloc&) {
-        fatal(ErrorCode::Resource,
-              "out of memory reading trace (" +
-                  std::to_string(h.recordCount) + " records)");
-    }
-
-    std::uint64_t served = 0;
-    InstCount insts = 0;
-    while (served < h.recordCount) {
-        const ChunkHead c = readChunkHead(in, h, served, 0);
-        in.read(records.data() + served, c.count * sizeof(Record),
-                "chunk records");
-        validateChunkPayload(c, records.data() + served);
-        served += c.count;
-        insts += c.instructions;
-    }
-    validateTotals(h, served, insts, in.remaining());
-    return Trace(h.name, std::move(records), h.instructions);
-}
 
 // ---------------------------------------------------------------------------
 // FileTraceSource
@@ -413,38 +330,34 @@ FileTraceSource::FileTraceSource(std::string path, FileMode mode)
     : path_(std::move(path)), mode_(mode)
 {
     fault::checkIo("stream.open", "opening " + path_);
-
-    // Sniff the version so v1/v2 files fall back to a full load.
-    std::uint32_t version = 0;
-    {
-        std::ifstream is(path_, std::ios::binary);
-        fatalIf(!is, ErrorCode::Io,
-                "cannot open for reading: " + path_);
-        char head[8] = {};
-        is.read(head, sizeof(head));
-        // Short or unrecognized files go through loadTrace below for
-        // its full diagnostics.
-        if (is && std::memcmp(head, kMagic, sizeof(kMagic)) == 0)
-            std::memcpy(&version, head + 4, sizeof(version));
-    }
-
-    if (version != 3) {
-        legacy_ = std::make_unique<MaterializedTraceSource>(
-            loadTrace(path_));
-        name_ = legacy_->name();
-        instructions_ = legacy_->instructions();
-        return;
-    }
     if (mode_ == FileMode::Buffered)
         openBuffered();
     else
         openMapped();
+
+    try {
+        ByteCursor in = map_ != nullptr ? ByteCursor(map_, fileBytes_)
+                                        : ByteCursor(*file_, fileBytes_);
+        const V3Header h = parseV3Header(in);
+        validatePayloadFits(h, in.remaining());
+        name_ = h.name;
+        instructions_ = h.instructions;
+        recordCount_ = h.recordCount;
+        chunkCapacity_ = h.chunkCapacity;
+        payloadStart_ = h.payloadStart;
+        offset_ = payloadStart_;
+    } catch (...) {
+        // A throwing constructor runs no destructor: unmap here.
+        if (map_ != nullptr)
+            ::munmap(const_cast<unsigned char*>(map_), fileBytes_);
+        throw;
+    }
 }
 
 FileTraceSource::~FileTraceSource()
 {
     if (map_ != nullptr)
-        ::munmap(const_cast<unsigned char*>(map_), mapBytes_);
+        ::munmap(const_cast<unsigned char*>(map_), fileBytes_);
 }
 
 void
@@ -459,16 +372,6 @@ FileTraceSource::openBuffered()
     fatalIf(!*file_ || end < std::istream::pos_type(0), ErrorCode::Io,
             "cannot determine size of " + path_);
     fileBytes_ = static_cast<std::uint64_t>(end);
-
-    ByteCursor in(*file_, fileBytes_);
-    const V3Header h = parseV3Header(in);
-    validatePayloadFits(h, in.remaining());
-    name_ = h.name;
-    instructions_ = h.instructions;
-    recordCount_ = h.recordCount;
-    chunkCapacity_ = h.chunkCapacity;
-    payloadStart_ = h.payloadStart;
-    offset_ = payloadStart_;
 }
 
 void
@@ -483,119 +386,71 @@ FileTraceSource::openMapped()
         ::close(fd);
         fatal(ErrorCode::Io, "cannot stat " + path_);
     }
-    mapBytes_ = static_cast<std::uint64_t>(st.st_size);
-    fileBytes_ = mapBytes_;
-    if (mapBytes_ == 0) {
+    fileBytes_ = static_cast<std::uint64_t>(st.st_size);
+    if (fileBytes_ == 0) {
         ::close(fd);
         fatal(ErrorCode::CorruptInput, "empty trace file: " + path_);
     }
-    void* map = ::mmap(nullptr, mapBytes_, PROT_READ, MAP_PRIVATE, fd,
+    void* map = ::mmap(nullptr, fileBytes_, PROT_READ, MAP_PRIVATE, fd,
                        0);
     ::close(fd);
     fatalIf(map == MAP_FAILED, ErrorCode::Io,
             "mmap failed for " + path_);
     map_ = static_cast<const unsigned char*>(map);
-    ::madvise(const_cast<unsigned char*>(map_), mapBytes_,
+    ::madvise(const_cast<unsigned char*>(map_), fileBytes_,
               MADV_SEQUENTIAL);
-
-    ByteCursor in(map_, mapBytes_);
-    const V3Header h = parseV3Header(in);
-    validatePayloadFits(h, in.remaining());
-    name_ = h.name;
-    instructions_ = h.instructions;
-    recordCount_ = h.recordCount;
-    chunkCapacity_ = h.chunkCapacity;
-    payloadStart_ = h.payloadStart;
-    offset_ = payloadStart_;
-    lastChunkStart_ = 0;
 }
 
 std::span<const Record>
 FileTraceSource::nextChunk()
 {
-    if (legacy_)
-        return legacy_->nextChunk();
     MRP_PROF_SCOPE("trace.decode");
-    return mode_ == FileMode::Buffered ? nextChunkBuffered()
-                                       : nextChunkMapped();
-}
-
-std::span<const Record>
-FileTraceSource::nextChunkBuffered()
-{
     if (recordsServed_ == recordCount_) {
-        V3Header h;
-        h.recordCount = recordCount_;
-        h.instructions = instructions_;
-        validateTotals(h, recordsServed_, instsServed_,
-                       fileBytes_ - offset_);
+        fatalIf(offset_ != fileBytes_, ErrorCode::CorruptInput,
+                std::to_string(fileBytes_ - offset_) +
+                    " trailing byte(s) after the final chunk");
+        fatalIf(instsServed_ != instructions_, ErrorCode::CorruptInput,
+                "trace header instruction count does not match records");
         return {};
     }
     fault::checkIo("stream.read",
                    "reading chunk at offset " +
                        std::to_string(offset_) + " of " + path_);
 
-    V3Header h;
-    h.recordCount = recordCount_;
-    h.instructions = instructions_;
-    h.chunkCapacity = chunkCapacity_;
-    ByteCursor in(*file_, fileBytes_ - offset_);
-    const ChunkHead c = readChunkHead(in, h, recordsServed_, offset_);
-    try {
-        fault::checkAlloc("stream.read.alloc");
-        buffer_.resize(c.count);
-    } catch (const std::bad_alloc&) {
-        fatal(ErrorCode::Resource,
-              "out of memory streaming trace chunk (" +
-                  std::to_string(c.count) + " records)");
+    const std::uint64_t avail = fileBytes_ - offset_;
+    ByteCursor in = map_ != nullptr ? ByteCursor(map_ + offset_, avail)
+                                    : ByteCursor(*file_, avail);
+    const ChunkHead c = readChunkHead(in, chunkCapacity_,
+                                      recordCount_ - recordsServed_,
+                                      offset_);
+    const std::uint64_t bytes = c.count * sizeof(Record);
+    const Record* records = nullptr;
+    if (map_ != nullptr) {
+        // Drop the pages of already-served chunks so residency stays
+        // at ~one chunk no matter how large the mapped file is; they
+        // refault from the file cleanly after a reset().
+        const auto page =
+            static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+        const std::uint64_t drop_end = offset_ & ~(page - 1);
+        if (drop_end > lastChunkStart_) {
+            ::madvise(const_cast<unsigned char*>(map_) + lastChunkStart_,
+                      drop_end - lastChunkStart_, MADV_DONTNEED);
+            lastChunkStart_ = drop_end;
+        }
+        records = reinterpret_cast<const Record*>(
+            in.take(bytes, "chunk records"));
+    } else {
+        try {
+            fault::checkAlloc("stream.read.alloc");
+            buffer_.resize(c.count);
+        } catch (const std::bad_alloc&) {
+            fatal(ErrorCode::Resource,
+                  "out of memory streaming trace chunk (" +
+                      std::to_string(c.count) + " records)");
+        }
+        in.read(buffer_.data(), bytes, "chunk records");
+        records = buffer_.data();
     }
-    in.read(buffer_.data(), c.count * sizeof(Record),
-            "chunk records");
-    validateChunkPayload(c, buffer_.data());
-
-    offset_ += in.offset();
-    recordsServed_ += c.count;
-    instsServed_ += c.instructions;
-    stats_.chunksDecoded += 1;
-    stats_.bytesRead += in.offset();
-    return {buffer_.data(), buffer_.size()};
-}
-
-std::span<const Record>
-FileTraceSource::nextChunkMapped()
-{
-    if (recordsServed_ == recordCount_) {
-        V3Header h;
-        h.recordCount = recordCount_;
-        h.instructions = instructions_;
-        validateTotals(h, recordsServed_, instsServed_,
-                       fileBytes_ - offset_);
-        return {};
-    }
-    fault::checkIo("stream.read",
-                   "reading chunk at offset " +
-                       std::to_string(offset_) + " of " + path_);
-
-    // Drop the pages of already-served chunks so residency stays at
-    // ~one chunk no matter how large the mapped file is; they refault
-    // from the file cleanly after a reset().
-    const auto page =
-        static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-    const std::uint64_t drop_end = offset_ & ~(page - 1);
-    if (drop_end > lastChunkStart_) {
-        ::madvise(const_cast<unsigned char*>(map_) + lastChunkStart_,
-                  drop_end - lastChunkStart_, MADV_DONTNEED);
-        lastChunkStart_ = drop_end;
-    }
-
-    V3Header h;
-    h.recordCount = recordCount_;
-    h.instructions = instructions_;
-    h.chunkCapacity = chunkCapacity_;
-    ByteCursor in(map_ + offset_, fileBytes_ - offset_);
-    const ChunkHead c = readChunkHead(in, h, recordsServed_, offset_);
-    const auto* records = reinterpret_cast<const Record*>(
-        in.take(c.count * sizeof(Record), "chunk records"));
     validateChunkPayload(c, records);
 
     offset_ += in.offset();
@@ -609,10 +464,6 @@ FileTraceSource::nextChunkMapped()
 void
 FileTraceSource::reset()
 {
-    if (legacy_) {
-        legacy_->reset();
-        return;
-    }
     offset_ = payloadStart_;
     recordsServed_ = 0;
     instsServed_ = 0;
@@ -759,16 +610,21 @@ ChunkedTraceWriter::ChunkedTraceWriter(std::string path,
       chunkRecords_(std::clamp(chunk_records, std::size_t{1},
                                std::size_t{kMaxChunkRecords}))
 {
+    // Placeholder header; finish() rewrites it with the real totals.
+    // Built before the tmp file exists, because it rejects an over-long
+    // name and a throwing constructor runs no destructor to clean up.
+    const std::string header = v3HeaderBytes(
+        name_, 0, 0, static_cast<std::uint32_t>(chunkRecords_));
     fault::checkIo("stream.write", "creating " + tmpPath_);
     file_ = std::fopen(tmpPath_.c_str(), "wb");
     fatalIf(file_ == nullptr, ErrorCode::Io,
             "cannot open for writing: " + tmpPath_);
-    // Placeholder header; finish() rewrites it with the real totals.
-    const std::string header = v3HeaderBytes(
-        name_, 0, 0, static_cast<std::uint32_t>(chunkRecords_));
-    fatalIf(std::fwrite(header.data(), 1, header.size(), file_) !=
-                header.size(),
-            ErrorCode::Io, "failed writing header to " + tmpPath_);
+    if (std::fwrite(header.data(), 1, header.size(), file_) !=
+        header.size()) {
+        std::fclose(file_);
+        std::remove(tmpPath_.c_str());
+        fatal(ErrorCode::Io, "failed writing header to " + tmpPath_);
+    }
 }
 
 ChunkedTraceWriter::~ChunkedTraceWriter()
@@ -785,13 +641,23 @@ ChunkedTraceWriter::append(std::span<const Record> records)
 {
     fatalIf(finished_, ErrorCode::Internal,
             "append() after finish() on " + path_);
-    pending_.insert(pending_.end(), records.begin(), records.end());
-    while (pending_.size() >= chunkRecords_) {
+    // Top up a partial chunk first; full chunks then go straight from
+    // the caller's records, and only a short tail is buffered.
+    if (!pending_.empty()) {
+        const auto head = records.first(
+            std::min(records.size(), chunkRecords_ - pending_.size()));
+        pending_.insert(pending_.end(), head.begin(), head.end());
+        records = records.subspan(head.size());
+        if (pending_.size() < chunkRecords_)
+            return;
         writeChunk(pending_.data(), chunkRecords_);
-        pending_.erase(pending_.begin(),
-                       pending_.begin() +
-                           static_cast<std::ptrdiff_t>(chunkRecords_));
+        pending_.clear();
     }
+    while (records.size() >= chunkRecords_) {
+        writeChunk(records.data(), chunkRecords_);
+        records = records.subspan(chunkRecords_);
+    }
+    pending_.assign(records.begin(), records.end());
 }
 
 void

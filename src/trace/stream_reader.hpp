@@ -1,15 +1,18 @@
 /**
  * @file
- * The chunked trace-file substrate: format v3 readers and writers.
+ * The trace file codec. Format v3 is the only on-disk trace format;
+ * FileTraceSource is its one reader and ChunkedTraceWriter its one
+ * writer (saveTrace in trace/trace_io.hpp is a convenience over the
+ * writer).
  *
- * Format v3 (little-endian) extends the v1/v2 header with a chunked
- * payload so multi-GB traces stream in bounded memory and corruption
- * is localized to one chunk:
+ * Layout (little-endian), chunked so multi-GB traces stream in bounded
+ * memory and corruption is localized to one chunk:
  *
- *   28-byte base header   magic "MRPT", u32 version=3,
+ *   32-byte fixed header  magic "MRPT", u32 version=3,
  *                         u64 instructions, u64 record count,
- *                         u32 name length
- *   u32 chunk capacity    records per full chunk (last may be short)
+ *                         u32 name length, u32 chunk capacity
+ *                         (records per full chunk; the last may be
+ *                         short)
  *   name bytes, zero pad  pad chosen so records land 16-byte aligned
  *   u32 header CRC-32     covers every byte above
  *   chunks                each: u32 record count, u32 CRC-32,
@@ -19,18 +22,26 @@
  *                         decodable and a flipped bit is reported
  *                         with the chunk's byte offset
  *
- * Readers validate every length field against the bytes actually
+ * Formats v1/v2 share the magic and the version field but are not
+ * read: they fail with CorruptInput naming the version. An earlier
+ * build that still reads them converts a file with
+ * `mrp_sim_cli --trace OLD --dump NEW`.
+ *
+ * The reader validates every length field against the bytes actually
  * remaining before any allocation, and chunk/record totals against
  * the header at end of stream. All failures are typed FatalErrors
  * (CorruptInput/Io), never crashes.
  *
  * Fault-injection sites (see util/fault_injection.hpp):
- *   "stream.open"        IoError — fail FileTraceSource's open/stat
- *   "stream.read"        IoError — fail a chunk read (per chunk)
- *   "stream.read.alloc"  AllocFail — chunk-buffer allocation fails
- *   "stream.mmap"        IoError — fail the mmap itself
- *   "stream.write"       IoError — fail a ChunkedTraceWriter append
- *   "stream.write.finish" IoError — fail the finalize/fsync/rename
+ *   "stream.open"          IoError — fail FileTraceSource's open/stat
+ *   "stream.read"          IoError — fail a chunk read (per chunk)
+ *   "stream.read.alloc"    AllocFail — chunk-buffer allocation fails
+ *   "stream.mmap"          IoError — fail the mmap itself
+ *   "stream.write"         IoError — fail ChunkedTraceWriter's tmp
+ *                          creation (first hit) or a chunk write
+ *   "stream.write.corrupt" CorruptByte — flip a bit in a chunk header
+ *                          as it is written
+ *   "stream.write.finish"  IoError — fail the finalize/fsync/rename
  */
 
 #ifndef MRP_TRACE_STREAM_READER_HPP
@@ -68,11 +79,12 @@ struct StreamStats
 };
 
 /**
- * Streams a trace file chunk by chunk. v3 files stream in O(chunk)
- * memory (buffered: one reused buffer; mmap: zero-copy spans with
- * already-served pages dropped via madvise so residency stays
- * bounded). v1/v2 files have a monolithic payload and are loaded
- * whole on open — use v3 for anything that should not fit in RAM.
+ * Streams a v3 trace file chunk by chunk in O(chunk) memory. Buffered
+ * mode reads each chunk into one reused buffer; mmap mode serves
+ * zero-copy spans of the map and drops already-served pages via
+ * madvise so residency stays bounded. Both modes share one decoder:
+ * the header is validated on construction, each chunk as it is pulled,
+ * and the totals at end of stream.
  */
 class FileTraceSource final : public TraceSource
 {
@@ -93,10 +105,8 @@ class FileTraceSource final : public TraceSource
     FileMode mode() const { return mode_; }
 
   private:
-    std::span<const Record> nextChunkBuffered();
-    std::span<const Record> nextChunkMapped();
-    void openBuffered();
-    void openMapped();
+    void openBuffered(); //!< open file_ and measure fileBytes_
+    void openMapped();   //!< map all fileBytes_ at map_
 
     std::string path_;
     FileMode mode_;
@@ -118,11 +128,7 @@ class FileTraceSource final : public TraceSource
 
     // Mmap mode.
     const unsigned char* map_ = nullptr;
-    std::uint64_t mapBytes_ = 0;
     std::uint64_t lastChunkStart_ = 0; //!< for madvise(DONTNEED)
-
-    // v1/v2 fallback: the whole trace, served in chunks.
-    std::unique_ptr<MaterializedTraceSource> legacy_;
 
     StreamStats stats_;
 };
@@ -181,15 +187,19 @@ class DecodeAheadSource final : public TraceSource
 };
 
 /**
- * Incremental v3 writer: appends chunks as they are produced, so a
- * trace larger than RAM can be generated and saved in one streaming
- * pass. Writes go to "<path>.tmp.<pid>"; finish() patches the header
- * totals, fsyncs, and renames into place, so a crash mid-write can
- * never leave a torn file at the destination path.
+ * The v3 encoder, incremental: appends chunks as they are produced,
+ * so a trace larger than RAM can be generated and saved in one
+ * streaming pass. Writes go to "<path>.tmp.<pid>"; finish() patches
+ * the header totals, fsyncs, and renames into place, so a crash
+ * mid-write can never leave a torn file at the destination path.
+ * Chunk boundaries depend only on the record count, never on how the
+ * records were split across append() calls.
  */
 class ChunkedTraceWriter
 {
   public:
+    /** Throws Config for a name longer than the format allows (before
+     * anything is created on disk), Io if the tmp cannot be created. */
     ChunkedTraceWriter(std::string path, std::string trace_name,
                        std::size_t chunk_records = kDefaultChunkRecords);
     ~ChunkedTraceWriter(); //!< abandons (removes) the tmp if unfinished
@@ -225,14 +235,6 @@ class ChunkedTraceWriter
     std::uint64_t recordCount_ = 0;
     bool finished_ = false;
 };
-
-/** @name v3 stream/trace_io bridge (internal to the trace library)
- * Monolithic v3 serialization used by writeTrace/readTrace so the
- * public trace_io API handles every format revision. @{ */
-void writeChunkedTrace(std::ostream& os, const Trace& trace,
-                       std::size_t chunk_records = kDefaultChunkRecords);
-Trace readChunkedTrace(std::istream& is, std::uint64_t available);
-/** @} */
 
 } // namespace mrp::trace
 

@@ -1,283 +1,15 @@
 #include "trace/trace_io.hpp"
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <new>
-#include <sstream>
-#include <vector>
-
-#include "prof/profiler.hpp"
 #include "trace/stream_reader.hpp"
-#include "trace/wire_format.hpp"
-#include "util/crc32.hpp"
-#include "util/fault_injection.hpp"
-#include "util/logging.hpp"
 
 namespace mrp::trace {
 
-namespace {
-
-using wire::kFooterBytes;
-using wire::kMagic;
-using wire::kMaxNameLen;
-
-template <typename T>
 void
-append(std::string& buf, const T& v)
+saveTrace(const std::string& path, const Trace& trace)
 {
-    const char* p = reinterpret_cast<const char*>(&v);
-    buf.append(p, sizeof(T));
-}
-
-std::string
-hex32(std::uint32_t v)
-{
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "0x%08x", v);
-    return buf;
-}
-
-/**
- * Bounds-checked cursor over the trace image. Every read knows how
- * many bytes remain, so corrupt length fields fail fast — with the
- * offset where the stream ran dry — instead of driving unbounded
- * allocations or silent short reads.
- */
-class BoundedReader
-{
-  public:
-    BoundedReader(std::istream& is, std::uint64_t remaining)
-        : is_(is), remaining_(remaining)
-    {
-    }
-
-    std::uint64_t offset() const { return offset_; }
-    std::uint64_t remaining() const { return remaining_; }
-
-    void
-    read(void* dst, std::uint64_t size, const char* what)
-    {
-        fatalIf(size > remaining_, ErrorCode::CorruptInput,
-                std::string("truncated trace stream: need ") +
-                    std::to_string(size) + " byte(s) of " + what +
-                    " at offset " + std::to_string(offset_) +
-                    ", only " + std::to_string(remaining_) +
-                    " remain");
-        is_.read(static_cast<char*>(dst),
-                 static_cast<std::streamsize>(size));
-        fatalIf(!is_, ErrorCode::Io,
-                std::string("read failed at offset ") +
-                    std::to_string(offset_) + " while reading " +
-                    what);
-        offset_ += size;
-        remaining_ -= size;
-    }
-
-    template <typename T>
-    T
-    get(const char* what)
-    {
-        T v{};
-        read(&v, sizeof(T), what);
-        return v;
-    }
-
-  private:
-    std::istream& is_;
-    std::uint64_t offset_ = 0;
-    std::uint64_t remaining_;
-};
-
-} // namespace
-
-void
-writeTrace(std::ostream& os, const Trace& trace, TraceFormat format)
-{
-    fault::checkIo("trace_io.write.io", "writing trace stream");
-    const auto version = static_cast<std::uint32_t>(format);
-    fatalIf(version < 1 || version > 3,
-            "unsupported trace format version " +
-                std::to_string(version));
-    if (format == TraceFormat::V3) {
-        writeChunkedTrace(os, trace);
-        return;
-    }
-
-    // Serialize into memory first: the CRC covers the exact image, and
-    // the write-corruption fault site can flip bits in any byte of it.
-    std::string buf;
-    static_assert(sizeof(Record) == 16, "record layout changed");
-    buf.reserve(wire::kBaseHeaderBytes + trace.name().size() +
-                trace.records().size() * sizeof(Record) +
-                kFooterBytes);
-    buf.append(kMagic, sizeof(kMagic));
-    append(buf, version);
-    append(buf, static_cast<std::uint64_t>(trace.instructions()));
-    append(buf, static_cast<std::uint64_t>(trace.records().size()));
-    append(buf, static_cast<std::uint32_t>(trace.name().size()));
-    buf.append(trace.name().data(), trace.name().size());
-    buf.append(reinterpret_cast<const char*>(trace.records().data()),
-               trace.records().size() * sizeof(Record));
-    if (format == TraceFormat::V2)
-        append(buf, Crc32::of(buf.data(), buf.size()));
-
-    fault::checkCorrupt("trace_io.write", buf.data(), buf.size());
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    fatalIf(!os, ErrorCode::Io, "failed writing trace stream");
-}
-
-void
-saveTrace(const std::string& path, const Trace& trace,
-          TraceFormat format)
-{
-    fault::checkIo("trace_io.save.open", "opening " + path);
-
-    // Serialize first (any writer fault aborts before the filesystem
-    // is touched), then tmp + fsync + rename so a crash mid-save can
-    // never publish a torn file that still passes the header checks.
-    std::ostringstream buf;
-    writeTrace(buf, trace, format);
-    const std::string bytes = buf.str();
-
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    fatalIf(f == nullptr, ErrorCode::Io,
-            "cannot open for writing: " + tmp);
-    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-                  bytes.size() &&
-              std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        fatal(ErrorCode::Io, "failed writing " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        fatal(ErrorCode::Io, "cannot rename " + tmp + " to " + path);
-    }
-}
-
-Trace
-readTrace(std::istream& is)
-{
-    fault::checkIo("trace_io.read", "reading trace stream");
-
-    // Measure the bytes actually available so every length field in
-    // the header can be validated before it drives an allocation.
-    const std::istream::pos_type start = is.tellg();
-    fatalIf(start == std::istream::pos_type(-1), ErrorCode::Io,
-            "trace stream is not seekable");
-    is.seekg(0, std::ios::end);
-    const std::istream::pos_type end = is.tellg();
-    is.seekg(start);
-    fatalIf(!is || end < start, ErrorCode::Io,
-            "cannot determine trace stream size");
-    const auto available = static_cast<std::uint64_t>(end - start);
-
-    // Sniff the version to dispatch v3 (chunked) streams; short or
-    // unrecognized prefixes fall through to the v1/v2 path for its
-    // full diagnostics.
-    if (available >= 8) {
-        char head[8] = {};
-        is.read(head, sizeof(head));
-        fatalIf(!is, ErrorCode::Io, "read failed sniffing version");
-        is.seekg(start);
-        fatalIf(!is, ErrorCode::Io, "seek failed sniffing version");
-        std::uint32_t sniffed = 0;
-        std::memcpy(&sniffed, head + 4, sizeof(sniffed));
-        if (std::memcmp(head, kMagic, sizeof(kMagic)) == 0 &&
-            sniffed == 3)
-            return readChunkedTrace(is, available);
-    }
-    BoundedReader in(is, available);
-
-    char magic[4] = {};
-    in.read(magic, sizeof(magic), "magic");
-    fatalIf(std::memcmp(magic, kMagic, sizeof(kMagic)) != 0,
-            ErrorCode::CorruptInput, "not a trace stream (bad magic)");
-    const auto version = in.get<std::uint32_t>("version");
-    fatalIf(version < 1 || version > 3, ErrorCode::CorruptInput,
-            "unsupported trace version " + std::to_string(version));
-    const auto instructions = in.get<std::uint64_t>("instruction count");
-    const auto record_count = in.get<std::uint64_t>("record count");
-    const auto name_len = in.get<std::uint32_t>("name length");
-
-    const std::uint64_t footer = version >= 2 ? kFooterBytes : 0;
-    fatalIf(name_len > kMaxNameLen, ErrorCode::CorruptInput,
-            "implausible trace name length " + std::to_string(name_len) +
-                " (max " + std::to_string(kMaxNameLen) + ")");
-    fatalIf(name_len + footer > in.remaining(), ErrorCode::CorruptInput,
-            "truncated trace stream: header claims a " +
-                std::to_string(name_len) +
-                "-byte name but only " +
-                std::to_string(in.remaining()) +
-                " byte(s) remain at offset " +
-                std::to_string(in.offset()));
-    const std::uint64_t payload_avail =
-        in.remaining() - name_len - footer;
-    fatalIf(record_count > payload_avail / sizeof(Record),
-            ErrorCode::CorruptInput,
-            "truncated trace stream: header claims " +
-                std::to_string(record_count) + " records (" +
-                std::to_string(record_count * sizeof(Record)) +
-                " bytes) but only " + std::to_string(payload_avail) +
-                " byte(s) remain at offset " +
-                std::to_string(in.offset() + name_len));
-
-    Crc32 crc;
-    crc.update(magic, sizeof(magic));
-    crc.update(&version, sizeof(version));
-    crc.update(&instructions, sizeof(instructions));
-    crc.update(&record_count, sizeof(record_count));
-    crc.update(&name_len, sizeof(name_len));
-
-    std::string name;
-    std::vector<Record> records;
-    try {
-        fault::checkAlloc("trace_io.read.alloc");
-        name.resize(name_len);
-        records.resize(record_count);
-    } catch (const std::bad_alloc&) {
-        fatal(ErrorCode::Resource,
-              "out of memory reading trace (" +
-                  std::to_string(record_count) + " records)");
-    }
-    if (name_len > 0)
-        in.read(name.data(), name_len, "name");
-    crc.update(name.data(), name.size());
-    if (record_count > 0)
-        in.read(records.data(), record_count * sizeof(Record),
-                "records");
-    crc.update(records.data(), records.size() * sizeof(Record));
-
-    if (version >= 2) {
-        const auto stored = in.get<std::uint32_t>("CRC footer");
-        fatalIf(stored != crc.value(), ErrorCode::CorruptInput,
-                "trace CRC mismatch: stored " + hex32(stored) +
-                    ", computed " + hex32(crc.value()));
-    }
-
-    // Validate the instruction count against the records.
-    InstCount total = 0;
-    for (const auto& r : records)
-        total += r.count();
-    fatalIf(total != instructions, ErrorCode::CorruptInput,
-            "trace header instruction count does not match records");
-    return Trace(std::move(name), std::move(records), instructions);
-}
-
-Trace
-loadTrace(const std::string& path)
-{
-    MRP_PROF_SCOPE("trace.decode");
-    fault::checkIo("trace_io.load.open", "opening " + path);
-    std::ifstream is(path, std::ios::binary);
-    fatalIf(!is, ErrorCode::Io, "cannot open for reading: " + path);
-    return readTrace(is);
+    ChunkedTraceWriter w(path, trace.name());
+    w.append(trace.records());
+    w.finish();
 }
 
 } // namespace mrp::trace

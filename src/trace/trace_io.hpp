@@ -1,71 +1,35 @@
 /**
  * @file
- * Binary serialization of traces, so workloads can be generated once,
- * archived, or imported from external tools.
+ * Whole-trace save: writes an in-memory Trace as a v3 chunked file
+ * (layout in trace/stream_reader.hpp), so workloads can be generated
+ * once and archived.
  *
- * Format (little-endian): a 28-byte header — magic "MRPT", u32
- * version, u64 instruction count, u64 record count, u32 name length —
- * followed by the name bytes and the packed 16-byte records. Version 2
- * appends a u32 CRC-32 footer covering every preceding byte, so any
- * corruption of the payload is detected, not just implausible header
- * fields. Version 3 (the current writer default) stores the records
- * as independently-decodable chunks — per-chunk record counts and
- * CRC-32s — so files stream in bounded memory and corruption is
- * localized to one chunk (layout in trace/wire_format.hpp; streaming
- * access in trace/stream_reader.hpp). All versions are still read.
+ * This is a convenience over ChunkedTraceWriter, the one v3 encoder.
+ * There is no whole-trace loader: read a file back with
+ * FileTraceSource, and materialize() it when every record must be
+ * resident.
  *
- * The reader is hardened against corrupt input: the name-length and
- * record-count fields are bounded against the bytes actually remaining
- * in the stream before anything is allocated, and truncation errors
- * report the byte offset where the stream ran dry. All reader
- * failures throw FatalError with ErrorCode::CorruptInput (malformed
- * bytes) or ErrorCode::Io (open/read failures).
- *
- * Fault-injection sites (see util/fault_injection.hpp):
- *   "trace_io.write"       CorruptByte — flip a bit in the serialized
- *                          image before it reaches the stream
- *   "trace_io.write.io"    IoError — fail writeTrace
- *   "trace_io.save.open"   IoError — fail saveTrace's open
- *   "trace_io.read"        IoError — fail readTrace
- *   "trace_io.load.open"   IoError — fail loadTrace's open
- *   "trace_io.read.alloc"  AllocFail — record-buffer allocation fails
+ * Fault-injection sites: those of ChunkedTraceWriter ("stream.write",
+ * "stream.write.corrupt", "stream.write.finish").
  */
 
 #ifndef MRP_TRACE_TRACE_IO_HPP
 #define MRP_TRACE_TRACE_IO_HPP
 
-#include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "trace/trace.hpp"
 
 namespace mrp::trace {
 
-/** On-disk format revision to emit; readers accept all of them. */
-enum class TraceFormat : std::uint32_t {
-    V1 = 1, //!< header + payload, no checksum (legacy)
-    V2 = 2, //!< adds the CRC-32 footer
-    V3 = 3, //!< chunked payload, per-chunk CRC-32 (default)
-};
-
-/** Serialize @p trace to a stream; throws FatalError on I/O failure. */
-void writeTrace(std::ostream& os, const Trace& trace,
-                TraceFormat format = TraceFormat::V3);
-
 /**
- * Serialize to a file path, atomically: the bytes land in a
- * same-directory temp file which is fsynced and renamed into place,
- * so a crashed writer can never leave a torn file at @p path.
+ * Write @p trace to @p path as a v3 file, atomically: the bytes land in
+ * a same-directory temp file which is fsynced and renamed into place,
+ * so a crashed writer can never leave a torn file at @p path. Throws
+ * FatalError: Config for a name longer than the format allows, Io on
+ * any write failure.
  */
-void saveTrace(const std::string& path, const Trace& trace,
-               TraceFormat format = TraceFormat::V3);
-
-/** Deserialize a trace; throws FatalError on corrupt input. */
-Trace readTrace(std::istream& is);
-
-/** Deserialize from a file path. */
-Trace loadTrace(const std::string& path);
+void saveTrace(const std::string& path, const Trace& trace);
 
 } // namespace mrp::trace
 

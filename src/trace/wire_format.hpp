@@ -1,18 +1,15 @@
 /**
  * @file
- * Shared on-disk layout constants for the trace container formats —
- * the single source of truth used by the monolithic reader/writer
- * (trace_io.cpp) and the streaming substrate (stream_reader.cpp).
- * Internal to the trace library; not installed for consumers.
+ * On-disk layout constants of trace format v3, the single source of
+ * truth for its encoder and decoder (stream_reader.cpp; the layout is
+ * documented in trace/stream_reader.hpp). Internal to the trace
+ * library; not installed for consumers.
  *
- * All formats share the 28-byte base header: magic "MRPT", u32
- * version, u64 instruction count, u64 record count, u32 name length.
- * v1/v2 follow it directly with the name and packed records (v2 adds
- * a trailing CRC-32 over the whole image). v3 inserts a u32
- * chunk-capacity field after the base header, pads the name region so
- * the payload starts 16-byte aligned (records can be mmapped in
- * place), seals the header with its own CRC-32, and stores the
- * records as independently-decodable chunks:
+ * The fixed header is magic "MRPT", u32 version, u64 instruction count,
+ * u64 record count, u32 name length, u32 chunk capacity. The name is
+ * padded so the payload starts 16-byte aligned (records can be mmapped
+ * in place), the header is sealed with its own CRC-32, and the records
+ * follow as independently-decodable chunks:
  *
  *   u32 record count | u32 CRC-32 | u64 instructions | records...
  *
@@ -29,16 +26,11 @@ namespace mrp::trace::wire {
 
 inline constexpr char kMagic[4] = {'M', 'R', 'P', 'T'};
 
-/** Base header: magic + version + instructions + records + name len. */
-inline constexpr std::uint64_t kBaseHeaderBytes = 28;
+/** Fixed header: magic, version, instructions, records, name length,
+ * chunk capacity. */
+inline constexpr std::uint64_t kV3FixedBytes = 32;
 
-/** v3 adds the u32 chunk-capacity field to the fixed header. */
-inline constexpr std::uint64_t kV3FixedBytes = kBaseHeaderBytes + 4;
-
-/** v2 trailing CRC-32. */
-inline constexpr std::uint64_t kFooterBytes = 4;
-
-/** v3 per-chunk header: u32 count, u32 CRC, u64 instructions. */
+/** Per-chunk header: u32 count, u32 CRC, u64 instructions. */
 inline constexpr std::uint64_t kChunkHeaderBytes = 16;
 
 inline constexpr std::uint32_t kMaxNameLen = 4096;
@@ -47,7 +39,7 @@ inline constexpr std::uint32_t kMaxNameLen = 4096;
  * corrupt capacity fields before they size a buffer. */
 inline constexpr std::uint32_t kMaxChunkRecords = 1u << 22;
 
-/** Zero padding after the v3 name so that the header CRC that follows
+/** Zero padding after the name so that the header CRC that follows
  * ends on a 16-byte boundary (chunk headers and records then stay
  * 16-byte aligned for mmap). */
 inline constexpr std::uint64_t
@@ -56,7 +48,7 @@ v3NamePad(std::uint64_t name_len)
     return (16 - ((kV3FixedBytes + name_len + 4) % 16)) % 16;
 }
 
-/** Offset of the first chunk in a v3 file. */
+/** Offset of the first chunk. */
 inline constexpr std::uint64_t
 v3PayloadStart(std::uint64_t name_len)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum
- * guarding the v2 trace footer and checkpoint-journal lines. Table is
+ * guarding trace headers and chunks and checkpoint-journal lines. Table is
  * generated at compile time; the implementation is self-contained so
  * checksums are bit-identical across platforms.
  */

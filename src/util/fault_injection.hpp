@@ -11,7 +11,7 @@
  * replays identically.
  *
  * Site names in this repo follow "<module>.<operation>[.<detail>]",
- * e.g. "trace_io.read.alloc" or "runner.execute".
+ * e.g. "stream.read.alloc" or "runner.execute".
  */
 
 #ifndef MRP_UTIL_FAULT_INJECTION_HPP

@@ -42,7 +42,7 @@ constexpr std::uint64_t kCold = StackDistanceTracker::kCold;
 
 /** One-load-per-block synthetic trace (1 instruction per record). */
 trace::Trace
-loadTrace(std::string name, const std::vector<Addr>& blocks)
+loadsTrace(std::string name, const std::vector<Addr>& blocks)
 {
     std::vector<trace::Record> recs;
     recs.reserve(blocks.size());
@@ -186,7 +186,7 @@ TEST(MrcEngineTest, AllColdScanMissesEverywhere)
     std::vector<Addr> blocks(20000);
     for (std::size_t i = 0; i < blocks.size(); ++i)
         blocks[i] = static_cast<Addr>(i);
-    trace::MaterializedTraceSource src(loadTrace("scan", blocks));
+    trace::MaterializedTraceSource src(loadsTrace("scan", blocks));
 
     MrcConfig cfg;
     cfg.mode = MrcMode::Exact;
@@ -204,7 +204,7 @@ TEST(MrcEngineTest, SingleBlockTraceIsOneColdTouch)
     // Every access after the first hits in L1; the LLC-level stream
     // is exactly one cold demand access.
     trace::MaterializedTraceSource src(
-        loadTrace("one", std::vector<Addr>(10000, 42)));
+        loadsTrace("one", std::vector<Addr>(10000, 42)));
     MrcConfig cfg;
     cfg.mode = MrcMode::Exact;
     cfg.warmupFraction = 0.0;
@@ -232,7 +232,7 @@ TEST(MrcEngineTest, FixedSizeCapBoundsTrackedBlocks)
     std::vector<Addr> blocks(100000);
     for (std::size_t i = 0; i < blocks.size(); ++i)
         blocks[i] = static_cast<Addr>(i);
-    trace::MaterializedTraceSource src(loadTrace("bigscan", blocks));
+    trace::MaterializedTraceSource src(loadsTrace("bigscan", blocks));
 
     MrcConfig cfg;
     cfg.mode = MrcMode::ShardsAdj;
@@ -254,7 +254,7 @@ TEST(MrcEngineTest, GaugesExportedWhenRegistryAttached)
     std::vector<Addr> blocks(5000);
     for (std::size_t i = 0; i < blocks.size(); ++i)
         blocks[i] = static_cast<Addr>(i % 1024);
-    trace::MaterializedTraceSource src(loadTrace("gauges", blocks));
+    trace::MaterializedTraceSource src(loadsTrace("gauges", blocks));
 
     telemetry::MetricsRegistry reg;
     MrcConfig cfg;

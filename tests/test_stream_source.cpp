@@ -24,7 +24,6 @@
 #include "trace/spec.hpp"
 #include "trace/stream_gen.hpp"
 #include "trace/stream_reader.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/wire_format.hpp"
 #include "trace/workloads.hpp"
 #include "util/fault_injection.hpp"
@@ -173,7 +172,7 @@ TEST_F(StreamSourceTest, MaterializeRoundsTripsIdentityAndTotals)
 // ---------------------------------------------------------------------
 // Chunked v3 files
 
-TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaLoadTrace)
+TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaMaterialize)
 {
     TempTraceFile file("roundtrip");
     const auto spec = trace::TraceSpec::zipf(smallZipf());
@@ -201,9 +200,9 @@ TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaLoadTrace)
         EXPECT_TRUE(sameRecords(reference, drain(s)));
     }
 
-    // The monolithic loader sees the same trace (v3 is the default
-    // trace_io format, not a side universe).
-    const auto loaded = trace::loadTrace(file.path());
+    // Materializing the file sees the same trace as streaming it.
+    trace::FileTraceSource whole(file.path());
+    const auto loaded = trace::materialize(whole);
     EXPECT_EQ(loaded.name(), spec.displayName());
     EXPECT_TRUE(sameRecords(reference, loaded.records()));
 }
