@@ -37,18 +37,37 @@ randomAccess(Rng& rng)
     return info;
 }
 
+/**
+ * A demand load from a bounded working set: 32 blocks per LLC set, so
+ * sampler sets see reuse at every LRU position and full sets evict.
+ */
+cache::AccessInfo
+workingSetAccess(Rng& rng, std::uint32_t set,
+                 const cache::CoreContext& ctx)
+{
+    constexpr Addr kLlcSets = 2048; // llcGeom().sets()
+    cache::AccessInfo info;
+    info.pc = 0x400000 + 4 * rng.below(256);
+    info.addr = (set + kLlcSets * rng.below(32)) * 64 + rng.below(64);
+    info.type = cache::AccessType::Load;
+    info.ctx = &ctx;
+    return info;
+}
+
 void
 BM_MultiperspectiveObserve(benchmark::State& state)
 {
     core::MultiperspectiveConfig cfg;
     cfg.features = core::featureSetTable1A();
     core::MultiperspectivePredictor pred(llcGeom(), 1, cfg);
+    cache::CoreContext ctx;
     Rng rng(1);
     std::uint32_t set = 0;
     for (auto _ : state) {
-        const auto info = randomAccess(rng);
+        const auto info = workingSetAccess(rng, set, ctx);
         benchmark::DoNotOptimize(
             pred.observe(info, set, rng.chance(0.4)));
+        ctx.notePc(info.pc);
         set = (set + 32) & 2047; // alternate over sampled sets
     }
 }
@@ -60,10 +79,12 @@ BM_MultiperspectiveObserveUnsampled(benchmark::State& state)
     core::MultiperspectiveConfig cfg;
     cfg.features = core::featureSetTable1A();
     core::MultiperspectivePredictor pred(llcGeom(), 1, cfg);
+    cache::CoreContext ctx;
     Rng rng(1);
     for (auto _ : state) {
-        const auto info = randomAccess(rng);
+        const auto info = workingSetAccess(rng, 1, ctx);
         benchmark::DoNotOptimize(pred.observe(info, 1, true));
+        ctx.notePc(info.pc);
     }
 }
 BENCHMARK(BM_MultiperspectiveObserveUnsampled);

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "util/bitfield.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::core {
@@ -131,53 +130,61 @@ FeatureSpec::parse(const std::string& text)
     return f;
 }
 
+CompiledFeature::CompiledFeature(const FeatureSpec& spec,
+                                 std::uint32_t weight_offset)
+    : xorMask_(spec.xorPc ? 0xff : 0), tableMask_(spec.tableSize() - 1),
+      weightOffset_(weight_offset)
+{
+    // Select bits B..E of a slot as bits() does: reversed B/E swap,
+    // bits past 63 read as zero.
+    auto select = [&](unsigned slot) {
+        slot_ = static_cast<std::uint8_t>(slot);
+        const unsigned lo = std::min(spec.begin, spec.end);
+        const unsigned hi = std::min(std::max(spec.begin, spec.end), 63u);
+        if (lo > 63)
+            return;
+        const unsigned width = hi - lo + 1;
+        shift_ = static_cast<std::uint8_t>(lo);
+        mask_ = width >= 64 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << width) - 1;
+    };
+    switch (spec.kind) {
+      case FeatureKind::Pc:
+        fatalIf(spec.depth > cache::CoreContext::kPcHistoryDepth,
+                "pc feature depth exceeds the PC history: " +
+                    spec.toString());
+        select(FeatureSources::kPc + spec.depth);
+        break;
+      case FeatureKind::Address:
+        select(FeatureSources::kAddr);
+        break;
+      case FeatureKind::Offset:
+        select(FeatureSources::kOffset);
+        break;
+      case FeatureKind::Bias:
+        break; // mask 0: the constant 0
+      case FeatureKind::Burst:
+        slot_ = FeatureSources::kBurst;
+        mask_ = 1;
+        break;
+      case FeatureKind::Insert:
+        slot_ = FeatureSources::kInsert;
+        mask_ = 1;
+        break;
+      case FeatureKind::LastMiss:
+        slot_ = FeatureSources::kLastMiss;
+        mask_ = 1;
+        break;
+    }
+}
+
 std::uint32_t
 featureIndex(const FeatureSpec& spec, const FeatureInput& in)
 {
-    std::uint64_t value = 0;
-    switch (spec.kind) {
-      case FeatureKind::Pc: {
-          Pc pc = in.pc;
-          if (spec.depth > 0) {
-              if (in.ctx)
-                  pc = in.ctx->pcHistory.recent(spec.depth - 1);
-              // Without a context (writeback paths), fall back to the
-              // access PC; those accesses are not predicted anyway.
-          }
-          value = bits(pc, spec.begin, spec.end);
-          break;
-      }
-      case FeatureKind::Address:
-        value = bits(in.addr, spec.begin, spec.end);
-        break;
-      case FeatureKind::Bias:
-        value = 0;
-        break;
-      case FeatureKind::Burst:
-        value = in.isBurst ? 1 : 0;
-        break;
-      case FeatureKind::Insert:
-        value = in.isInsert ? 1 : 0;
-        break;
-      case FeatureKind::LastMiss:
-        value = in.lastMiss ? 1 : 0;
-        break;
-      case FeatureKind::Offset:
-        value = bits(blockOffset(in.addr), spec.begin, spec.end);
-        break;
-    }
-
-    const std::uint32_t size = spec.tableSize();
-    if (spec.xorPc) {
-        // Distribute the feature across the weights by the current PC
-        // (shifted to drop alignment zeros).
-        const std::uint64_t mixed =
-            foldXor(value, 8) ^ foldXor(in.pc >> 2, 8);
-        return static_cast<std::uint32_t>(mixed & (size - 1));
-    }
-    const unsigned width = log2Ceil(size);
-    return static_cast<std::uint32_t>(foldXor(value, width) &
-                                      (size - 1));
+    const CompiledFeature f(spec);
+    const auto depth = static_cast<std::uint8_t>(f.historyDepth());
+    const FeatureSources src(in, {&depth, depth == 0 ? 0u : 1u});
+    return f.index(src);
 }
 
 FeatureSpec

@@ -1,6 +1,7 @@
 #include "core/predictor.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "prof/profiler.hpp"
 #include "util/logging.hpp"
@@ -28,32 +29,38 @@ MultiperspectivePredictor::MultiperspectivePredictor(
         fatalIf(f.assoc > cfg.samplerAssoc,
                 "feature associativity exceeds the sampler's: " +
                     f.toString());
-    for (auto& s : samplerSets_)
-        s.resize(cfg.samplerAssoc);
-    tables_.reserve(cfg.features.size());
-    for (const auto& f : cfg.features)
-        tables_.emplace_back(f.tableSize(), 0);
+    features_.reserve(cfg.features.size());
+    for (std::size_t i = 0; i < cfg.features.size(); ++i) {
+        const FeatureSpec& f = cfg.features[i];
+        const CompiledFeature& c = features_.emplace_back(
+            f, static_cast<std::uint32_t>(weights_.size()));
+        weights_.resize(weights_.size() + c.tableSize(), 0);
+        for (unsigned p = 0; p < f.assoc; ++p)
+            liveAt_[p] |= FeatureMask{1} << i;
+        deadAt_[f.assoc] |= FeatureMask{1} << i;
+        const auto w = static_cast<std::uint8_t>(c.historyDepth());
+        if (w != 0 && std::find(historyDepths_.begin(),
+                                historyDepths_.end(),
+                                w) == historyDepths_.end())
+            historyDepths_.push_back(w);
+    }
 }
 
 std::size_t
 MultiperspectivePredictor::totalWeights() const
 {
-    std::size_t n = 0;
-    for (const auto& t : tables_)
-        n += t.size();
-    return n;
+    return weights_.size();
 }
 
 double
 MultiperspectivePredictor::meanAbsWeight(std::size_t feature) const
 {
-    const auto& t = tables_[feature];
+    const CompiledFeature& c = features_[feature];
+    const auto first = weights_.begin() + c.weightOffset();
     std::uint64_t sum = 0;
-    for (const std::int8_t w : t)
-        sum += static_cast<std::uint64_t>(w < 0 ? -w : w);
-    return t.empty() ? 0.0
-                     : static_cast<double>(sum) /
-                           static_cast<double>(t.size());
+    for (auto w = first; w != first + c.tableSize(); ++w)
+        sum += static_cast<std::uint64_t>(*w < 0 ? -*w : *w);
+    return static_cast<double>(sum) / static_cast<double>(c.tableSize());
 }
 
 namespace {
@@ -105,35 +112,32 @@ MultiperspectivePredictor::attachTelemetry(
 }
 
 void
-MultiperspectivePredictor::computeIndices(const FeatureInput& in,
-                                          IndexVec& out) const
+MultiperspectivePredictor::train(FeatureMask features, const IndexVec& idx,
+                                 bool dead)
 {
-    for (std::size_t f = 0; f < cfg_.features.size(); ++f)
-        out[f] = static_cast<std::uint8_t>(
-            featureIndex(cfg_.features[f], in));
-}
-
-int
-MultiperspectivePredictor::sumOf(const IndexVec& idx) const
-{
-    int sum = 0;
-    for (std::size_t f = 0; f < cfg_.features.size(); ++f)
-        sum += tables_[f][idx[f]];
-    return std::clamp(sum, -cfg_.confidenceClamp - 1,
-                      cfg_.confidenceClamp);
+    for (; features != 0; features &= features - 1) {
+        const auto f = static_cast<std::size_t>(std::countr_zero(features));
+        std::int8_t& w = weight(f, idx[f]);
+        if (dead) {
+            if (w < weightMax_)
+                ++w;
+        } else {
+            if (w > weightMin_)
+                --w;
+        }
+    }
 }
 
 void
-MultiperspectivePredictor::bump(unsigned feature, std::uint8_t index,
-                                bool dead)
+MultiperspectivePredictor::trainDemotions(const SamplerSet& sset,
+                                          std::size_t count)
 {
-    std::int8_t& w = tables_[feature][index];
-    if (dead) {
-        if (w < weightMax_)
-            ++w;
-    } else {
-        if (w > weightMin_)
-            --w;
+    // Entries 0..count-1 each move down one position; a block arriving
+    // exactly at a feature's A is dead for that feature.
+    for (std::size_t q = 0; q < count; ++q) {
+        const SamplerEntry& demoted = sset.entries[q];
+        if (demoted.confidence < cfg_.trainingThreshold)
+            train(deadAt_[q + 1], demoted.indices, /*dead=*/true);
     }
 }
 
@@ -144,83 +148,45 @@ MultiperspectivePredictor::samplerAccess(const cache::AccessInfo& info,
                                          int confidence)
 {
     MRP_PROF_SCOPE_HOT("llc.sampler");
-    auto& sset = samplerSets_[sampling_.samplerSetOf(set)];
+    SamplerSet& sset = samplerSets_[sampling_.samplerSetOf(set)];
+    const auto first = sset.entries.begin();
     const std::uint16_t tag = policy::SetSampling::partialTag(info.addr);
-    const int theta = cfg_.trainingThreshold;
-    const std::size_t nfeat = cfg_.features.size();
 
-    std::size_t pos = sset.size();
-    for (std::size_t i = 0; i < sset.size(); ++i) {
-        if (sset[i].valid && sset[i].tag == tag) {
-            pos = i;
-            break;
-        }
-    }
+    std::size_t pos = 0;
+    while (pos < sset.count && sset.entries[pos].tag != tag)
+        ++pos;
 
-    if (pos < sset.size()) {
+    if (pos < sset.count) {
         // ---- Reuse at LRU position pos. ----
-        SamplerEntry entry = sset[pos];
         // Train "live" only in tables whose associativity would still
         // have held the block (p < A); gate on the stored prediction
         // per the perceptron rule.
         {
             MRP_PROF_SCOPE_HOT("llc.train");
-            if (entry.confidence > -theta) {
-                for (std::size_t f = 0; f < nfeat; ++f)
-                    if (pos < cfg_.features[f].assoc)
-                        bump(static_cast<unsigned>(f), entry.indices[f],
-                             /*dead=*/false);
-            }
+            const SamplerEntry& entry = sset.entries[pos];
+            if (entry.confidence > -cfg_.trainingThreshold)
+                train(liveAt_[pos], entry.indices, /*dead=*/false);
             ++trainingEvents_;
-            // The promotion demotes positions 0..pos-1 by one; a block
-            // arriving exactly at a feature's A is dead for that
-            // feature.
-            for (std::size_t q = 0; q < pos; ++q) {
-                const SamplerEntry& demoted = sset[q];
-                if (!demoted.valid || demoted.confidence >= theta)
-                    continue;
-                const std::size_t newpos = q + 1;
-                for (std::size_t f = 0; f < nfeat; ++f)
-                    if (newpos == cfg_.features[f].assoc)
-                        bump(static_cast<unsigned>(f),
-                             demoted.indices[f],
-                             /*dead=*/true);
-            }
+            trainDemotions(sset, pos);
         }
-        // Refresh the entry and move it to MRU.
-        entry.confidence = static_cast<std::int16_t>(confidence);
-        entry.indices = idx;
-        sset.erase(sset.begin() + static_cast<long>(pos));
-        sset.insert(sset.begin(), entry);
+        // Move the entry to MRU.
+        std::rotate(first, first + static_cast<long>(pos),
+                    first + static_cast<long>(pos) + 1);
     } else {
-        // ---- Placement: everyone shifts down one position. ----
-        std::size_t valid_count = 0;
-        while (valid_count < sset.size() && sset[valid_count].valid)
-            ++valid_count;
+        // ---- Placement: everyone shifts down one position, and a
+        // full set evicts its LRU entry. ----
         {
             MRP_PROF_SCOPE_HOT("llc.train");
-            for (std::size_t q = 0; q < valid_count; ++q) {
-                const SamplerEntry& demoted = sset[q];
-                if (demoted.confidence >= theta)
-                    continue;
-                const std::size_t newpos = q + 1;
-                for (std::size_t f = 0; f < nfeat; ++f)
-                    if (newpos == cfg_.features[f].assoc)
-                        bump(static_cast<unsigned>(f),
-                             demoted.indices[f],
-                             /*dead=*/true);
-            }
+            trainDemotions(sset, sset.count);
             ++trainingEvents_;
         }
-        if (valid_count == sset.size())
-            sset.pop_back(); // true eviction of the LRU entry
-        SamplerEntry entry;
-        entry.valid = true;
-        entry.tag = tag;
-        entry.confidence = static_cast<std::int16_t>(confidence);
-        entry.indices = idx;
-        sset.insert(sset.begin(), entry);
+        if (sset.count < cfg_.samplerAssoc)
+            ++sset.count;
+        std::rotate(first, first + sset.count - 1, first + sset.count);
+        sset.entries[0].tag = tag;
     }
+    sset.entries[0].confidence = static_cast<std::int16_t>(confidence);
+    sset.entries[0].indices = idx;
 }
 
 int
@@ -238,14 +204,22 @@ MultiperspectivePredictor::observe(const cache::AccessInfo& info,
     in.isInsert = !hit;
     in.lastMiss = lastMiss_[set] != 0;
     in.isBurst = lastBlock_[set] == blk;
+    const FeatureSources src(in, historyDepths_);
 
     IndexVec idx{};
-    computeIndices(in, idx);
-    const int confidence = sumOf(idx);
+    int sum = 0;
+    for (std::size_t f = 0; f < features_.size(); ++f) {
+        const CompiledFeature& c = features_[f];
+        const std::uint32_t i = c.index(src);
+        idx[f] = static_cast<std::uint8_t>(i);
+        sum += weights_[c.weightOffset() + i];
+    }
+    const int confidence =
+        std::clamp(sum, -cfg_.confidenceClamp - 1, cfg_.confidenceClamp);
 
     if (tel_) {
-        for (std::size_t f = 0; f < cfg_.features.size(); ++f)
-            tel_->featureWeight[f]->record(tables_[f][idx[f]]);
+        for (std::size_t f = 0; f < features_.size(); ++f)
+            tel_->featureWeight[f]->record(weight(f, idx[f]));
         (hit ? tel_->confidenceHit : tel_->confidenceMiss)
             ->record(confidence);
     }

@@ -77,13 +77,22 @@ class MultiperspectivePredictor : public policy::ReusePredictor
 
   private:
     using IndexVec = std::array<std::uint8_t, kMaxFeatures>;
+    using FeatureMask = std::uint32_t; //!< bit f stands for feature f
+    static_assert(kMaxFeatures <= 32);
 
     struct SamplerEntry
     {
-        bool valid = false;
         std::uint16_t tag = 0;
         std::int16_t confidence = 0;
         IndexVec indices{};
+    };
+
+    /** One sampler set: entries [0, count) in true-LRU order, MRU
+     * first. It holds at most samplerAssoc entries. */
+    struct SamplerSet
+    {
+        std::array<SamplerEntry, kMaxFeatureAssoc> entries;
+        std::uint8_t count = 0;
     };
 
     /** Histograms fed on every observe() once telemetry is attached. */
@@ -94,18 +103,28 @@ class MultiperspectivePredictor : public policy::ReusePredictor
         telemetry::Histogram* confidenceMiss = nullptr;
     };
 
-    void computeIndices(const FeatureInput& in, IndexVec& out) const;
-    int sumOf(const IndexVec& idx) const;
-    void bump(unsigned feature, std::uint8_t index, bool dead);
+    std::int8_t& weight(std::size_t feature, std::uint8_t index)
+    {
+        return weights_[features_[feature].weightOffset() + index];
+    }
+    void train(FeatureMask features, const IndexVec& idx, bool dead);
+    void trainDemotions(const SamplerSet& sset, std::size_t count);
     void samplerAccess(const cache::AccessInfo& info, std::uint32_t set,
                        const IndexVec& idx, int confidence);
 
     MultiperspectiveConfig cfg_;
     int weightMin_;
     int weightMax_;
+    std::vector<CompiledFeature> features_;
+    std::vector<std::uint8_t> historyDepths_; //!< distinct W > 0 in use
+    std::vector<std::int8_t> weights_; //!< every feature's table, flat
+    /** liveAt_[p]: features with p < A, trained live by a hit at p. */
+    std::array<FeatureMask, kMaxFeatureAssoc> liveAt_{};
+    /** deadAt_[p]: features with A == p, trained dead by a demotion
+     * to position p. */
+    std::array<FeatureMask, kMaxFeatureAssoc + 1> deadAt_{};
     policy::SetSampling sampling_;
-    std::vector<std::vector<SamplerEntry>> samplerSets_; // MRU-first
-    std::vector<std::vector<std::int8_t>> tables_;
+    std::vector<SamplerSet> samplerSets_;
     // Per-LLC-set feature state.
     std::vector<std::uint8_t> lastMiss_;
     std::vector<Addr> lastBlock_;

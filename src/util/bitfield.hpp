@@ -54,6 +54,19 @@ foldXor(std::uint64_t value, unsigned width)
     return out;
 }
 
+/**
+ * foldXor(value, 8) in three shift-xors: the xor of the value's eight
+ * bytes. Values below 256 fold to themselves.
+ */
+constexpr std::uint64_t
+fold8(std::uint64_t value)
+{
+    value ^= value >> 32;
+    value ^= value >> 16;
+    value ^= value >> 8;
+    return value & 0xff;
+}
+
 /** Number of bits needed to represent values 0..n-1; log2Ceil(1) == 0. */
 constexpr unsigned
 log2Ceil(std::uint64_t n)

@@ -33,7 +33,8 @@ class History
     void
     push(const T& v)
     {
-        head_ = (head_ + 1) % buf_.size();
+        if (++head_ == buf_.size())
+            head_ = 0;
         buf_[head_] = v;
     }
 
@@ -42,7 +43,8 @@ class History
     recent(std::size_t i) const
     {
         panicIf(i >= buf_.size(), "History::recent out of range");
-        return buf_[(head_ + buf_.size() - i) % buf_.size()];
+        // Wrap with a compare: both indices are below the capacity.
+        return buf_[i <= head_ ? head_ - i : head_ + buf_.size() - i];
     }
 
     std::size_t capacity() const { return buf_.size(); }

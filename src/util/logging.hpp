@@ -126,28 +126,35 @@ fatal(ErrorCode code, const std::string& msg)
     throw FatalError(code, msg);
 }
 
-/** Panic unless a condition holds. */
+/*
+ * The checks take a std::string_view so that a passing check with a
+ * string-literal message costs one compare and allocates nothing; the
+ * message string is built only when the check fails. Messages composed
+ * at the call site live until the end of the full expression.
+ */
+
+/** Panic if @p cond holds. */
 inline void
-panicIf(bool cond, const std::string& msg)
+panicIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        panic(msg);
+    if (cond) [[unlikely]]
+        panic(std::string(msg));
 }
 
-/** Fatal error unless a condition holds. */
+/** Fatal error if @p cond holds. */
 inline void
-fatalIf(bool cond, const std::string& msg)
+fatalIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        fatal(msg);
+    if (cond) [[unlikely]]
+        fatal(std::string(msg));
 }
 
-/** Classified fatal error unless a condition holds. */
+/** Classified fatal error if @p cond holds. */
 inline void
-fatalIf(bool cond, ErrorCode code, const std::string& msg)
+fatalIf(bool cond, ErrorCode code, std::string_view msg)
 {
-    if (cond)
-        fatal(code, msg);
+    if (cond) [[unlikely]]
+        fatal(code, std::string(msg));
 }
 
 } // namespace mrp

@@ -141,6 +141,17 @@ TEST(FeatureIndexTest, PcDepthReadsHistory)
               foldXor(bits(0x400100, 0, 16), 8));
 }
 
+TEST(FeatureIndexTest, DepthBeyondThePcHistoryIsAConfigError)
+{
+    // The history holds 18 PCs, so W = 18 is the deepest readable.
+    FeatureInput in;
+    in.pc = 0x400300;
+    EXPECT_NO_THROW(featureIndex(FeatureSpec::parse("pc(16,0,16,18,0)"),
+                                 in));
+    EXPECT_THROW(featureIndex(FeatureSpec::parse("pc(16,0,16,19,0)"), in),
+                 FatalError);
+}
+
 TEST(PublishedSetsTest, AllThreeHaveSixteenFeatures)
 {
     EXPECT_EQ(featureSetTable1A().size(), 16u);

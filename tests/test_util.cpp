@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 
 #include "util/bitfield.hpp"
@@ -165,6 +166,26 @@ TEST(HistoryTest, MostRecentFirst)
     EXPECT_EQ(h.recent(0), 5);
     EXPECT_EQ(h.recent(3), 2);
     EXPECT_THROW(h.recent(4), PanicError);
+}
+
+TEST(HistoryTest, MatchesADequeReference)
+{
+    // Capacities around the wrap point of a small and a 2^k+1 buffer.
+    for (const std::size_t capacity : {1u, 2u, 17u, 18u, 19u}) {
+        History<int> h(capacity, -1);
+        std::deque<int> ref(capacity, -1); // front is the most recent
+        for (int i = 0; i < 1000; ++i) {
+            h.push(i);
+            ref.push_front(i);
+            ref.pop_back();
+            for (std::size_t k = 0; k < capacity; ++k)
+                ASSERT_EQ(h.recent(k), ref[k])
+                    << "capacity " << capacity << " push " << i
+                    << " depth " << k;
+        }
+        EXPECT_EQ(h.capacity(), capacity);
+        EXPECT_THROW(h.recent(capacity), PanicError);
+    }
 }
 
 TEST(MathUtil, GeomeanAndMean)
