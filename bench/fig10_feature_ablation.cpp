@@ -109,7 +109,7 @@ main(int argc, char** argv)
             single[c] = single_ipc[mix.benchmarks[c]];
         lru_ws.push_back(
             sim::runMultiCore(sources.ptrs(),
-                              sim::makePolicyFactory("LRU"), cfg)
+                              sim::PolicyRegistry::make("LRU"), cfg)
                 .weightedSpeedup(single));
     }
 

@@ -37,11 +37,11 @@ main()
             single[c] = single_ipc[mix.benchmarks[c]];
         const double lru_ws =
             sim::runMultiCore(sources.ptrs(),
-                              sim::makePolicyFactory("LRU"), cfg)
+                              sim::PolicyRegistry::make("LRU"), cfg)
                 .weightedSpeedup(single);
         for (std::size_t p = 0; p < policies.size(); ++p) {
             const auto r = sim::runMultiCore(
-                sources.ptrs(), sim::makePolicyFactory(policies[p]),
+                sources.ptrs(), sim::PolicyRegistry::make(policies[p]),
                 cfg);
             ws[p].push_back(r.weightedSpeedup(single) / lru_ws);
         }

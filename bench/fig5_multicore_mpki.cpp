@@ -27,7 +27,7 @@ main()
         const bench::MixSources sources(suite, mix);
         for (std::size_t p = 0; p < policies.size(); ++p) {
             const auto r = sim::runMultiCore(
-                sources.ptrs(), sim::makePolicyFactory(policies[p]),
+                sources.ptrs(), sim::PolicyRegistry::make(policies[p]),
                 cfg);
             mpki[p].push_back(r.mpki);
         }

@@ -64,11 +64,11 @@ main()
         std::make_unique<core::MultiperspectivePredictor>(geom, 1, mcfg));
     auto probe = std::make_unique<sim::RocProbe>(geom, std::move(preds));
 
-    const auto lru = sim::makePolicyFactory("LRU");
+    const auto lru = sim::PolicyRegistry::make("LRU");
     for (unsigned b = 0; b < trace::suiteSize(); ++b) {
         const auto tr = trace::makeSuiteTrace(b, insts);
         trace::MaterializedTraceSource src(tr);
-        sim::runSingleCoreObserved(src, lru, scfg, probe.get());
+        sim::runSingleCore(src, lru, scfg, {probe.get()});
         std::fprintf(stderr, "# measured %s\n", tr.name().c_str());
     }
 

@@ -33,7 +33,7 @@ main()
             single[c] = single_ipc[mix.benchmarks[c]];
         lru_ws.push_back(
             sim::runMultiCore(sources.ptrs(),
-                              sim::makePolicyFactory("LRU"), cfg)
+                              sim::PolicyRegistry::make("LRU"), cfg)
                 .weightedSpeedup(single));
     }
 

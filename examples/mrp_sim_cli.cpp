@@ -555,7 +555,7 @@ run(int argc, char** argv)
             policy == "MIN"
                 ? sim::runSingleCoreMin(*src, cfg)
                 : sim::runSingleCore(
-                      *src, sim::makePolicyFactory(policy), cfg);
+                      *src, sim::PolicyRegistry::make(policy), cfg);
         std::printf("benchmark : %s\n", r.benchmark.c_str());
         std::printf("policy    : %s\n", r.policy.c_str());
         std::printf("insts     : %llu\n",

@@ -32,14 +32,14 @@ main()
     //    32KB L1D, 256KB L2, 2MB LLC, stream prefetcher.
     trace::MaterializedTraceSource source(workload);
     const auto lru =
-        sim::runSingleCore(source, sim::makePolicyFactory("LRU"), {});
+        sim::runSingleCore(source, sim::PolicyRegistry::make("LRU"), {});
     std::printf("LRU   : IPC %.3f, LLC demand MPKI %.2f\n", lru.ipc,
                 lru.mpki);
 
     // 3. Run it under MPPPB: the multiperspective reuse predictor
     //    driving bypass, placement, and promotion over static MDPP.
     const auto mpppb = sim::runSingleCore(
-        source, sim::makePolicyFactory("MPPPB"), {});
+        source, sim::PolicyRegistry::make("MPPPB"), {});
     std::printf("MPPPB : IPC %.3f, LLC demand MPKI %.2f, %llu fills "
                 "bypassed\n",
                 mpppb.ipc, mpppb.mpki,

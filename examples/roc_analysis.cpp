@@ -56,11 +56,11 @@ main(int argc, char** argv)
     }
     sim::RocProbe probe(geom, std::move(preds));
 
-    const auto lru = sim::makePolicyFactory("LRU");
+    const auto lru = sim::PolicyRegistry::make("LRU");
     for (const unsigned b : benches) {
         const auto tr = trace::makeSuiteTrace(b, insts);
         trace::MaterializedTraceSource src(tr);
-        sim::runSingleCoreObserved(src, lru, cfg, &probe);
+        sim::runSingleCore(src, lru, cfg, {&probe});
         std::printf("measured %s\n", tr.name().c_str());
     }
 

@@ -71,7 +71,7 @@ main(int argc, char** argv)
     for (const auto& t : traces) {
         trace::MaterializedTraceSource src(t);
         lru_ipc.push_back(
-            sim::runSingleCore(src, sim::makePolicyFactory("LRU"), {})
+            sim::runSingleCore(src, sim::PolicyRegistry::make("LRU"), {})
                 .ipc);
     }
 

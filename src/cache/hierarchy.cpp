@@ -1,6 +1,9 @@
 #include "cache/hierarchy.hpp"
 
+#include <utility>
+
 #include "prof/profiler.hpp"
+#include "telemetry/session.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::cache {
@@ -144,16 +147,65 @@ Hierarchy::issuePrefetches(CoreId core, const CoreContext* ctx)
     }
 }
 
-void
-Hierarchy::attachTelemetry(telemetry::MetricsRegistry& registry)
+namespace {
+
+/** Advances a telemetry session once per LLC access. */
+class SessionObserver : public LlcObserver
 {
-    llc_.attachTelemetry(registry);
-    registry.gaugeFn("mem.dram_reads", [this] {
-        return static_cast<double>(dramReads_);
+  public:
+    explicit SessionObserver(telemetry::Session& session)
+        : session_(session)
+    {
+    }
+
+    void
+    onAccess(const AccessInfo& info, bool hit, std::uint32_t set,
+             int way) override
+    {
+        (void)hit;
+        (void)set;
+        (void)way;
+        session_.reuse().observe(blockAddr(info.addr));
+        session_.tick();
+    }
+
+  private:
+    telemetry::Session& session_;
+};
+
+} // namespace
+
+void
+Hierarchy::attachTelemetry(telemetry::Session& session)
+{
+    using S = stats::LevelStats;
+    static constexpr std::pair<const char*, std::uint64_t S::*>
+        kLlcCounters[] = {
+            {"llc.demand_accesses", &S::demandAccesses},
+            {"llc.demand_hits", &S::demandHits},
+            {"llc.demand_misses", &S::demandMisses},
+            {"llc.prefetch_accesses", &S::prefetchAccesses},
+            {"llc.writeback_accesses", &S::writebackAccesses},
+            {"llc.bypasses", &S::bypasses},
+            {"llc.fills", &S::fills},
+            {"llc.evictions", &S::evictions},
+            {"llc.dirty_evictions", &S::dirtyEvictions},
+        };
+    telemetry::MetricsRegistry& registry = session.registry();
+    for (const auto& [name, field] : kLlcCounters)
+        registry.counterFn(name, [this, field = field,
+                                  from = llc_.stats().*field] {
+            return llc_.stats().*field - from;
+        });
+    registry.gaugeFn("mem.dram_reads", [this, from = dramReads_] {
+        return static_cast<double>(dramReads_ - from);
     });
-    registry.gaugeFn("mem.dram_writes", [this] {
-        return static_cast<double>(dramWrites_);
+    registry.gaugeFn("mem.dram_writes", [this, from = dramWrites_] {
+        return static_cast<double>(dramWrites_ - from);
     });
+    llc_.policy().attachTelemetry(registry);
+    sessionObserver_ = std::make_unique<SessionObserver>(session);
+    llc_.addObserver(*sessionObserver_);
     if (!cfg_.prefetchEnabled)
         return;
     prefetchTracking_ = true;

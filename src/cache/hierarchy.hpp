@@ -22,6 +22,10 @@
 #include "cache/policy_cache.hpp"
 #include "prefetch/stream_prefetcher.hpp"
 
+namespace mrp::telemetry {
+class Session;
+}
+
 namespace mrp::cache {
 
 /** Sizing and latency parameters (defaults follow the paper §4.1). */
@@ -78,13 +82,19 @@ class Hierarchy
     std::uint64_t dramWrites() const { return dramWrites_; }
 
     /**
-     * Enable telemetry for the whole hierarchy: LLC event counters and
-     * policy metrics, prefetcher accuracy/coverage probes, and DRAM
-     * traffic gauges. Call at the start of the measurement window; the
-     * registered callbacks reference this hierarchy, so it must
-     * outlive every snapshot taken from @p registry.
+     * The one telemetry attach call, made at the start of the
+     * measurement window. It registers the "llc.*" counters and the
+     * "mem.dram_*" gauges as probes over the hierarchy's own counters,
+     * reporting deltas from this call (so a driver that never resets
+     * the statistics still gets window-only values); forwards to the
+     * LLC policy's attachTelemetry; adds the prefetcher
+     * accuracy/coverage probes; and subscribes an LLC observer that
+     * advances @p session's epoch clock and reuse tracker once per
+     * access. The probes reference this hierarchy and the observer
+     * references @p session: the hierarchy must outlive every snapshot
+     * taken from the session, and the session every later access.
      */
-    void attachTelemetry(telemetry::MetricsRegistry& registry);
+    void attachTelemetry(telemetry::Session& session);
 
     /** Zero every statistic without disturbing cache contents. */
     void resetStats();
@@ -99,6 +109,7 @@ class Hierarchy
     std::vector<BasicCache> l2_;
     std::vector<prefetch::StreamPrefetcher> prefetchers_;
     PolicyCache llc_;
+    std::unique_ptr<LlcObserver> sessionObserver_; //!< set by attach
     std::vector<Addr> pfBuf_;
     std::uint64_t dramReads_ = 0;
     std::uint64_t dramWrites_ = 0;

@@ -7,7 +7,8 @@
  * (bypass), and is notified of hits, misses, fills, and evictions so
  * it can maintain recency state and train predictors. Observers see
  * the same events but cannot influence decisions; they implement the
- * measurement-only modes (ROC probes, MIN's pre-pass recorder).
+ * measurement-only modes (ROC probes, MIN's pre-pass recorder, the
+ * telemetry epoch clock), any number of them on one cache.
  */
 
 #ifndef MRP_CACHE_LLC_POLICY_HPP

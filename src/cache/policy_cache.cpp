@@ -33,23 +33,6 @@ PolicyCache::findWay(std::uint32_t set, std::uint64_t tag,
     return -1;
 }
 
-void
-PolicyCache::attachTelemetry(telemetry::MetricsRegistry& registry)
-{
-    tel_ = std::make_unique<Telemetry>();
-    tel_->demandAccesses = &registry.counter("llc.demand_accesses");
-    tel_->demandHits = &registry.counter("llc.demand_hits");
-    tel_->demandMisses = &registry.counter("llc.demand_misses");
-    tel_->prefetchAccesses = &registry.counter("llc.prefetch_accesses");
-    tel_->writebackAccesses =
-        &registry.counter("llc.writeback_accesses");
-    tel_->bypasses = &registry.counter("llc.bypasses");
-    tel_->fills = &registry.counter("llc.fills");
-    tel_->evictions = &registry.counter("llc.evictions");
-    tel_->dirtyEvictions = &registry.counter("llc.dirty_evictions");
-    policy_->attachTelemetry(registry);
-}
-
 LlcResult
 PolicyCache::access(const AccessInfo& info)
 {
@@ -70,20 +53,6 @@ PolicyCache::access(const AccessInfo& info)
         ++stats_.writebackAccesses;
         break;
     }
-    if (tel_) {
-        switch (info.type) {
-          case AccessType::Load:
-          case AccessType::Store:
-            tel_->demandAccesses->add();
-            break;
-          case AccessType::Prefetch:
-            tel_->prefetchAccesses->add();
-            break;
-          case AccessType::Writeback:
-            tel_->writebackAccesses->add();
-            break;
-        }
-    }
 
     LlcResult result;
     const int hit_way = findWay(set, tag, owner);
@@ -103,12 +72,9 @@ PolicyCache::access(const AccessInfo& info)
             ++stats_.writebackHits;
             break;
         }
-        if (tel_ && (info.type == AccessType::Load ||
-                     info.type == AccessType::Store))
-            tel_->demandHits->add();
         policy_->onHit(info, set, static_cast<std::uint32_t>(hit_way));
-        if (observer_)
-            observer_->onAccess(info, true, set, hit_way);
+        for (LlcObserver* o : observers_)
+            o->onAccess(info, true, set, hit_way);
         return result;
     }
 
@@ -127,12 +93,9 @@ PolicyCache::access(const AccessInfo& info)
         ++stats_.writebackMisses;
         break;
     }
-    if (tel_ && (info.type == AccessType::Load ||
-                 info.type == AccessType::Store))
-        tel_->demandMisses->add();
     policy_->onMiss(info, set);
-    if (observer_)
-        observer_->onAccess(info, false, set, -1);
+    for (LlcObserver* o : observers_)
+        o->onAccess(info, false, set, -1);
 
     // The fill may be confined to a partition; zero means the whole
     // set is available.
@@ -153,11 +116,9 @@ PolicyCache::access(const AccessInfo& info)
     if (fill_way == geom_.ways()) {
         if (policy_->shouldBypass(info, set)) {
             ++stats_.bypasses;
-            if (tel_)
-                tel_->bypasses->add();
             result.bypassed = true;
-            if (observer_)
-                observer_->onBypass(info, set);
+            for (LlcObserver* o : observers_)
+                o->onBypass(info, set);
             return result;
         }
         fill_way = fill_mask != 0
@@ -173,14 +134,9 @@ PolicyCache::access(const AccessInfo& info)
         ++stats_.evictions;
         if (victim.dirty)
             ++stats_.dirtyEvictions;
-        if (tel_) {
-            tel_->evictions->add();
-            if (victim.dirty)
-                tel_->dirtyEvictions->add();
-        }
         policy_->onEvict(set, fill_way);
-        if (observer_)
-            observer_->onEvict(set, fill_way, result.victim.blockAddress);
+        for (LlcObserver* o : observers_)
+            o->onEvict(set, fill_way, result.victim.blockAddress);
     }
 
     Block& slot = blockAt(set, fill_way);
@@ -188,11 +144,10 @@ PolicyCache::access(const AccessInfo& info)
     slot.owner = owner;
     slot.valid = true;
     slot.dirty = info.type == AccessType::Writeback;
-    if (tel_)
-        tel_->fills->add();
+    ++stats_.fills;
     policy_->onFill(info, set, fill_way);
-    if (observer_)
-        observer_->onFill(info, set, fill_way);
+    for (LlcObserver* o : observers_)
+        o->onFill(info, set, fill_way);
     return result;
 }
 

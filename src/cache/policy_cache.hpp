@@ -13,7 +13,6 @@
 #include "cache/basic_cache.hpp"
 #include "cache/llc_policy.hpp"
 #include "stats/level_stats.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace mrp::cache {
 
@@ -39,15 +38,12 @@ class PolicyCache
     const CacheGeometry& geometry() const { return geom_; }
     LlcPolicy& policy() { return *policy_; }
 
-    /** Attach a passive observer (may be null to detach). */
-    void setObserver(LlcObserver* obs) { observer_ = obs; }
-
     /**
-     * Register "llc.*" event counters with @p registry and forward to
-     * the policy's attachTelemetry. Until this is called the hot path
-     * pays a single null check.
+     * Attach a passive observer. Observers are notified in
+     * registration order and must outlive every later access; with
+     * none attached the hot path pays one empty-range check per event.
      */
-    void attachTelemetry(telemetry::MetricsRegistry& registry);
+    void addObserver(LlcObserver& obs) { observers_.push_back(&obs); }
 
     /**
      * Perform one access: lookup, policy notification, and — on a
@@ -79,31 +75,16 @@ class PolicyCache
         bool dirty = false;
     };
 
-    /** Counters mirrored into the metrics registry when attached. */
-    struct Telemetry
-    {
-        telemetry::Counter* demandAccesses = nullptr;
-        telemetry::Counter* demandHits = nullptr;
-        telemetry::Counter* demandMisses = nullptr;
-        telemetry::Counter* prefetchAccesses = nullptr;
-        telemetry::Counter* writebackAccesses = nullptr;
-        telemetry::Counter* bypasses = nullptr;
-        telemetry::Counter* fills = nullptr;
-        telemetry::Counter* evictions = nullptr;
-        telemetry::Counter* dirtyEvictions = nullptr;
-    };
-
     Block& blockAt(std::uint32_t set, std::uint32_t way);
     int findWay(std::uint32_t set, std::uint64_t tag,
                 std::uint32_t owner) const;
 
     CacheGeometry geom_;
     std::unique_ptr<LlcPolicy> policy_;
-    LlcObserver* observer_ = nullptr;
+    std::vector<LlcObserver*> observers_;
     std::vector<Block> blocks_;
     stats::LevelStats stats_;
     std::vector<std::uint64_t> demandMissesPerCore_;
-    std::unique_ptr<Telemetry> tel_; //!< null until attachTelemetry
 };
 
 } // namespace mrp::cache

@@ -6,7 +6,7 @@
 #include "cpu/core_model.hpp"
 #include "policy/lru.hpp"
 #include "prof/profiler.hpp"
-#include "sim/telemetry_hooks.hpp"
+#include "telemetry/session.hpp"
 #include "tenant/tenant_policy.hpp"
 #include "util/logging.hpp"
 
@@ -146,14 +146,11 @@ runPartitioned(std::span<trace::TraceSource* const> mix,
     // are registered here because only the driver sees both the
     // partition map and the cache occupancy.
     std::unique_ptr<telemetry::Session> session;
-    std::unique_ptr<TelemetryObserver> tobs;
     telemetry::Counter* resize_counter = nullptr;
     std::vector<telemetry::Gauge*> epoch_mpki_gauge;
     if (cfg.telemetry.enabled) {
         session = std::make_unique<telemetry::Session>(cfg.telemetry);
-        hier.attachTelemetry(session->registry());
-        tobs = std::make_unique<TelemetryObserver>(*session);
-        hier.llc().setObserver(tobs.get());
+        hier.attachTelemetry(*session);
         auto& reg = session->registry();
         resize_counter = &reg.counter("tenant.qos_resizes");
         for (unsigned t = 0; t < n; ++t) {
@@ -304,12 +301,9 @@ runMultiCore(std::span<trace::TraceSource* const> mix,
     // Attach telemetry at the start of the measurement window so every
     // metric covers exactly what LevelStats covers.
     std::unique_ptr<telemetry::Session> session;
-    std::unique_ptr<TelemetryObserver> tobs;
     if (cfg.telemetry.enabled) {
         session = std::make_unique<telemetry::Session>(cfg.telemetry);
-        hier.attachTelemetry(session->registry());
-        tobs = std::make_unique<TelemetryObserver>(*session);
-        hier.llc().setObserver(tobs.get());
+        hier.attachTelemetry(*session);
     }
     std::vector<Cycle> base_cycle(n, 0);
     std::vector<InstCount> base_insts(n, 0), end_insts(n, 0);

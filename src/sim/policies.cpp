@@ -167,12 +167,6 @@ makeMpppbFactory(const core::MpppbConfig& cfg)
     };
 }
 
-PolicyFactory
-makePolicyFactory(const std::string& name)
-{
-    return PolicyRegistry::make(name);
-}
-
 std::vector<std::string>
 paperPolicyNames()
 {

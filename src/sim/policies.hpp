@@ -64,12 +64,6 @@ class PolicyRegistry
     static std::vector<std::string> names();
 };
 
-/**
- * Factory for a named policy — thin shim over PolicyRegistry::make,
- * kept so existing callers compile unchanged.
- */
-PolicyFactory makePolicyFactory(const std::string& name);
-
 /** Factory for MPPPB with an explicit configuration. */
 PolicyFactory makeMpppbFactory(const core::MpppbConfig& cfg);
 

@@ -4,7 +4,7 @@
 #include "policy/lru.hpp"
 #include "policy/min.hpp"
 #include "prof/profiler.hpp"
-#include "sim/telemetry_hooks.hpp"
+#include "telemetry/session.hpp"
 #include "trace/stream_reader.hpp"
 #include "util/logging.hpp"
 
@@ -16,18 +16,14 @@ SingleCoreResult
 runWithPolicy(trace::TraceSource& source,
               std::unique_ptr<cache::LlcPolicy> policy,
               const SingleCoreConfig& cfg,
-              cache::LlcObserver* observer)
+              const std::vector<cache::LlcObserver*>& observers)
 {
     cache::HierarchyConfig hcfg = cfg.hierarchy;
     hcfg.cores = 1;
     const std::string policy_name = policy->name();
     cache::Hierarchy hier(hcfg, std::move(policy));
-    fatalIf(cfg.telemetry.enabled && observer != nullptr,
-            ErrorCode::Config,
-            "telemetry cannot be combined with an external LLC "
-            "observer (both need the observer slot)");
-    if (observer)
-        hier.llc().setObserver(observer);
+    for (cache::LlcObserver* o : observers)
+        hier.llc().addObserver(*o);
     // Rewind so one source can serve several sequential runs (bench
     // loops reuse a source across policies); replay is identical by
     // the TraceSource contract.
@@ -49,12 +45,9 @@ runWithPolicy(trace::TraceSource& source,
     // Attach telemetry at the start of the measurement window so every
     // metric covers exactly what LevelStats covers.
     std::unique_ptr<telemetry::Session> session;
-    std::unique_ptr<TelemetryObserver> tobs;
     if (cfg.telemetry.enabled) {
         session = std::make_unique<telemetry::Session>(cfg.telemetry);
-        hier.attachTelemetry(session->registry());
-        tobs = std::make_unique<TelemetryObserver>(*session);
-        hier.llc().setObserver(tobs.get());
+        hier.attachTelemetry(*session);
         // Delivery introspection (an execution artifact, never part
         // of deterministic reports — telemetry is opt-in).
         if (auto* da =
@@ -106,22 +99,12 @@ runWithPolicy(trace::TraceSource& source,
 
 SingleCoreResult
 runSingleCore(trace::TraceSource& source, const PolicyFactory& factory,
-              const SingleCoreConfig& cfg)
+              const SingleCoreConfig& cfg,
+              const std::vector<cache::LlcObserver*>& observers)
 {
     const cache::CacheGeometry geom(cfg.hierarchy.llcBytes,
                                     cfg.hierarchy.llcWays);
-    return runWithPolicy(source, factory(geom, 1), cfg, nullptr);
-}
-
-SingleCoreResult
-runSingleCoreObserved(trace::TraceSource& source,
-                      const PolicyFactory& factory,
-                      const SingleCoreConfig& cfg,
-                      cache::LlcObserver* observer)
-{
-    const cache::CacheGeometry geom(cfg.hierarchy.llcBytes,
-                                    cfg.hierarchy.llcWays);
-    return runWithPolicy(source, factory(geom, 1), cfg, observer);
+    return runWithPolicy(source, factory(geom, 1), cfg, observers);
 }
 
 SingleCoreResult
@@ -130,16 +113,19 @@ runSingleCoreMin(trace::TraceSource& source,
 {
     const cache::CacheGeometry geom(cfg.hierarchy.llcBytes,
                                     cfg.hierarchy.llcWays);
-    // Pass 1: record the (policy-invariant) LLC reference stream. The
-    // recorder needs the observer slot, so telemetry (if requested)
-    // only covers the measured MIN pass.
+    // Pass 1: record the (policy-invariant) LLC reference stream.
+    // Telemetry (if requested) covers only the measured MIN pass.
     SingleCoreConfig pass1_cfg = cfg;
     pass1_cfg.telemetry.enabled = false;
     policy::LlcAccessRecorder recorder;
     {
         MRP_PROF_SCOPE("min.record");
-        runWithPolicy(source, std::make_unique<policy::LruPolicy>(geom),
-                      pass1_cfg, &recorder);
+        runSingleCore(
+            source,
+            [](const cache::CacheGeometry& g, unsigned) {
+                return std::make_unique<policy::LruPolicy>(g);
+            },
+            pass1_cfg, {&recorder});
     }
     // Pass 2: replay under MIN over the identical record sequence
     // (the TraceSource contract guarantees reset() replays exactly).
@@ -149,7 +135,7 @@ runSingleCoreMin(trace::TraceSource& source,
     SingleCoreResult r = runWithPolicy(
         source,
         std::make_unique<policy::MinPolicy>(geom, std::move(next_use)),
-        cfg, nullptr);
+        cfg, {});
     r.policy = "MIN";
     return r;
 }

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/hierarchy.hpp"
 #include "sim/driver_config.hpp"
@@ -50,22 +51,16 @@ struct SingleCoreResult
 
 /**
  * Stream @p source under the policy built by @p factory. The source
- * is consumed from its current position (pass a fresh or reset one)
- * and left exhausted. Results are byte-identical for any chunking or
- * delivery mode of the same record sequence.
+ * is rewound first and left exhausted. Results are byte-identical for
+ * any chunking or delivery mode of the same record sequence.
+ * @p observers (ROC probes, access recorders) are attached to the LLC
+ * in order and see the whole run, warmup included; they coexist with
+ * telemetry and never change the result.
  */
-SingleCoreResult runSingleCore(trace::TraceSource& source,
-                               const PolicyFactory& factory,
-                               const SingleCoreConfig& cfg = {});
-
-/**
- * As runSingleCore, with a passive LLC observer attached (ROC probes,
- * access recorders). The observer sees the whole run, warmup included.
- */
-SingleCoreResult runSingleCoreObserved(trace::TraceSource& source,
-                                       const PolicyFactory& factory,
-                                       const SingleCoreConfig& cfg,
-                                       cache::LlcObserver* observer);
+SingleCoreResult
+runSingleCore(trace::TraceSource& source, const PolicyFactory& factory,
+              const SingleCoreConfig& cfg = {},
+              const std::vector<cache::LlcObserver*>& observers = {});
 
 /**
  * Run @p source under Belady's MIN with optimal bypass: a recording

@@ -27,6 +27,7 @@ struct LevelStats
     std::uint64_t writebackHits = 0;
     std::uint64_t writebackMisses = 0;
     std::uint64_t bypasses = 0;
+    std::uint64_t fills = 0; //!< blocks installed (kept by the LLC only)
     std::uint64_t evictions = 0;
     std::uint64_t dirtyEvictions = 0;
 

@@ -41,7 +41,7 @@ MetricsRegistry::counter(const std::string& name)
 {
     Entry& e = entries_[name];
     if (!e.counter) {
-        fatalIf(e.gauge || e.histogram || e.fn, ErrorCode::Config,
+        fatalIf(e.taken(), ErrorCode::Config,
                 "metric registered with two kinds: " + name);
         e.kind = MetricSnapshot::Kind::Counter;
         e.counter = std::make_unique<Counter>();
@@ -54,7 +54,7 @@ MetricsRegistry::gauge(const std::string& name)
 {
     Entry& e = entries_[name];
     if (!e.gauge) {
-        fatalIf(e.counter || e.histogram || e.fn, ErrorCode::Config,
+        fatalIf(e.taken(), ErrorCode::Config,
                 "metric registered with two kinds: " + name);
         e.kind = MetricSnapshot::Kind::Gauge;
         e.gauge = std::make_unique<Gauge>();
@@ -68,7 +68,7 @@ MetricsRegistry::histogram(const std::string& name,
 {
     Entry& e = entries_[name];
     if (!e.histogram) {
-        fatalIf(e.counter || e.gauge || e.fn, ErrorCode::Config,
+        fatalIf(e.taken(), ErrorCode::Config,
                 "metric registered with two kinds: " + name);
         e.kind = MetricSnapshot::Kind::Histogram;
         e.histogram = std::make_unique<Histogram>(std::move(bounds));
@@ -82,11 +82,22 @@ MetricsRegistry::gaugeFn(const std::string& name,
 {
     fatalIf(!fn, ErrorCode::Config, "null gauge probe: " + name);
     Entry& e = entries_[name];
-    fatalIf(e.counter || e.gauge || e.histogram || e.fn,
-            ErrorCode::Config,
+    fatalIf(e.taken(), ErrorCode::Config,
             "metric registered with two kinds: " + name);
     e.kind = MetricSnapshot::Kind::Gauge;
     e.fn = std::move(fn);
+}
+
+void
+MetricsRegistry::counterFn(const std::string& name,
+                           std::function<std::uint64_t()> fn)
+{
+    fatalIf(!fn, ErrorCode::Config, "null counter probe: " + name);
+    Entry& e = entries_[name];
+    fatalIf(e.taken(), ErrorCode::Config,
+            "metric registered with two kinds: " + name);
+    e.kind = MetricSnapshot::Kind::Counter;
+    e.counterFn = std::move(fn);
 }
 
 Snapshot
@@ -100,7 +111,7 @@ MetricsRegistry::snapshot() const
         m.kind = e.kind;
         switch (e.kind) {
           case MetricSnapshot::Kind::Counter:
-            m.counter = e.counter->value();
+            m.counter = e.counterFn ? e.counterFn() : e.counter->value();
             break;
           case MetricSnapshot::Kind::Gauge:
             m.gauge = e.fn ? e.fn() : e.gauge->value();

@@ -133,9 +133,10 @@ struct Snapshot
  * reference that stays valid for the registry's lifetime; callers
  * cache it and never touch the registry again on the hot path.
  * Registering the same name twice returns the existing metric (the
- * kinds must agree); gaugeFn() instead registers a probe evaluated
- * lazily at every snapshot — the way to expose state that lives in
- * the instrumented component (weight magnitudes, accuracy ratios).
+ * kinds must agree); gaugeFn() and counterFn() instead register a
+ * probe evaluated lazily at every snapshot — the way to expose state
+ * that lives in the instrumented component (weight magnitudes,
+ * accuracy ratios, the cache's own event counts).
  */
 class MetricsRegistry
 {
@@ -145,6 +146,8 @@ class MetricsRegistry
     Histogram& histogram(const std::string& name,
                          std::vector<std::int64_t> bounds);
     void gaugeFn(const std::string& name, std::function<double()> fn);
+    void counterFn(const std::string& name,
+                   std::function<std::uint64_t()> fn);
 
     Snapshot snapshot() const;
 
@@ -156,6 +159,14 @@ class MetricsRegistry
         std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;
         std::function<double()> fn; //!< gauge probe (may be empty)
+        std::function<std::uint64_t()> counterFn; //!< counter probe
+
+        /** Whether any kind of metric is registered under this name. */
+        bool
+        taken() const
+        {
+            return counter || gauge || histogram || fn || counterFn;
+        }
     };
 
     std::map<std::string, Entry> entries_; //!< name-sorted

@@ -4,11 +4,11 @@
  * reuse-distance tracker.
  *
  * A Session is created by a simulation driver when the run's
- * TelemetryConfig enables telemetry, attached to the instrumented
- * components after warmup (so every metric covers exactly the
- * measurement window and reconciles with LevelStats), ticked once per
- * LLC access, and finished into an immutable RunTelemetry that
- * travels with the run's result.
+ * TelemetryConfig enables telemetry, attached with one
+ * Hierarchy::attachTelemetry call after warmup (so every metric covers
+ * exactly the measurement window and reconciles with LevelStats),
+ * ticked once per LLC access, and finished into an immutable
+ * RunTelemetry that travels with the run's result.
  */
 
 #ifndef MRP_TELEMETRY_SESSION_HPP

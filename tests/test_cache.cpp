@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "cache/basic_cache.hpp"
@@ -111,28 +112,49 @@ TEST(BasicCacheTest, TouchRefreshesWithoutStats)
 // ---------------------------------------------------------------------
 // PolicyCache
 
+/** Counts every LLC event and logs it in arrival order. */
 class CountingObserver : public LlcObserver
 {
   public:
     int accesses = 0, hits = 0, fills = 0, evicts = 0, bypasses = 0;
+    std::vector<std::string> events;
 
     void
-    onAccess(const AccessInfo&, bool hit, std::uint32_t, int) override
+    onAccess(const AccessInfo& info, bool hit, std::uint32_t set,
+             int way) override
     {
         ++accesses;
         hits += hit ? 1 : 0;
+        log("access", info.addr, set, way);
     }
-    void onFill(const AccessInfo&, std::uint32_t, std::uint32_t) override
+    void
+    onFill(const AccessInfo& info, std::uint32_t set,
+           std::uint32_t way) override
     {
         ++fills;
+        log("fill", info.addr, set, static_cast<int>(way));
     }
-    void onEvict(std::uint32_t, std::uint32_t, Addr) override
+    void
+    onEvict(std::uint32_t set, std::uint32_t way, Addr block) override
     {
         ++evicts;
+        log("evict", block, set, static_cast<int>(way));
     }
-    void onBypass(const AccessInfo&, std::uint32_t) override
+    void
+    onBypass(const AccessInfo& info, std::uint32_t set) override
     {
         ++bypasses;
+        log("bypass", info.addr, set, -1);
+    }
+
+  private:
+    void
+    log(const char* what, Addr addr, std::uint32_t set, int way)
+    {
+        events.push_back(std::string(what) + " " +
+                         std::to_string(addr) + " " +
+                         std::to_string(set) + " " +
+                         std::to_string(way));
     }
 };
 
@@ -252,15 +274,26 @@ TEST(PolicyCacheTest, ObserverSeesAllEvents)
 {
     const CacheGeometry g(256, 4);
     PolicyCache c(256, 4, std::make_unique<policy::LruPolicy>(g), 1);
-    CountingObserver obs;
-    c.setObserver(&obs);
+    CountingObserver first, second;
+    c.addObserver(first);
+    c.addObserver(second);
     for (std::uint64_t t = 0; t < 5; ++t)
         c.access(demand(addrOf(0, t, 1)));
     c.access(demand(addrOf(0, 4, 1))); // hit
-    EXPECT_EQ(obs.accesses, 6);
-    EXPECT_EQ(obs.hits, 1);
-    EXPECT_EQ(obs.fills, 5);
-    EXPECT_EQ(obs.evicts, 1);
+    for (const CountingObserver* obs : {&first, &second}) {
+        EXPECT_EQ(obs->accesses, 6);
+        EXPECT_EQ(obs->hits, 1);
+        EXPECT_EQ(obs->fills, 5);
+        EXPECT_EQ(obs->evicts, 1);
+    }
+    ASSERT_EQ(first.events.size(), 12u);
+    EXPECT_EQ(first.events, second.events);
+    EXPECT_EQ(first.events[8], "access " +
+                                   std::to_string(addrOf(0, 4, 1)) +
+                                   " 0 -1");
+    EXPECT_EQ(first.events[9], "evict " +
+                                   std::to_string(addrOf(0, 0, 1)) +
+                                   " 0 0");
 }
 
 TEST(PolicyCacheTest, StatsByType)

@@ -139,7 +139,7 @@ TEST(HierarchyTest, LlcStreamIsPolicyInvariant)
     auto run = [&](std::unique_ptr<LlcPolicy> pol) {
         policy::LlcAccessRecorder rec;
         Hierarchy h(cfg, std::move(pol));
-        h.llc().setObserver(&rec);
+        h.llc().addObserver(rec);
         Rng rng(5);
         CoreContext ctx;
         for (int i = 0; i < 50000; ++i) {

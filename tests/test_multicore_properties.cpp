@@ -37,9 +37,9 @@ TEST(MultiCoreProperties, DeterministicAcrossRuns)
     // The second call reuses the same sources: the driver rewinds
     // them, so replay is part of what this determinism check covers.
     const auto a =
-        runMultiCore(mix, makePolicyFactory("MPPPB-MC"), cfg);
+        runMultiCore(mix, PolicyRegistry::make("MPPPB-MC"), cfg);
     const auto b =
-        runMultiCore(mix, makePolicyFactory("MPPPB-MC"), cfg);
+        runMultiCore(mix, PolicyRegistry::make("MPPPB-MC"), cfg);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.llcDemandMisses, b.llcDemandMisses);
 }
@@ -56,9 +56,9 @@ TEST(MultiCoreProperties, CorePlacementMatters)
     trace::MaterializedTraceSource s0(t0), s1(t1), s2(t2), s3(t3);
     const auto cfg = fastConfig();
     const auto a = runMultiCore({&s0, &s1, &s2, &s3},
-                                makePolicyFactory("LRU"), cfg);
+                                PolicyRegistry::make("LRU"), cfg);
     const auto b = runMultiCore({&s3, &s2, &s1, &s0},
-                                makePolicyFactory("LRU"), cfg);
+                                PolicyRegistry::make("LRU"), cfg);
     InstCount ia = 0, ib = 0;
     for (unsigned c = 0; c < 4; ++c) {
         ia += a.instructions[c];
@@ -82,7 +82,7 @@ TEST(MultiCoreProperties, EveryPaperPolicyRunsAMix)
     cfg.measureCycles = 60000;
     for (const char* p :
          {"LRU", "Perceptron", "Hawkeye", "MPPPB-MC", "SHiP"}) {
-        const auto r = runMultiCore(mix, makePolicyFactory(p), cfg);
+        const auto r = runMultiCore(mix, PolicyRegistry::make(p), cfg);
         for (unsigned c = 0; c < 4; ++c) {
             EXPECT_GT(r.ipc[c], 0.0) << p;
             EXPECT_LE(r.ipc[c], 4.0) << p;
@@ -103,9 +103,9 @@ TEST(MultiCoreProperties, MemoryHogDegradesNeighbors)
     trace::MaterializedTraceSource v0(victim), q1(quiet), q2(quiet),
         q3(quiet), h1(hog), h2(hog), h3(hog);
     const auto calm = runMultiCore({&v0, &q1, &q2, &q3},
-                                   makePolicyFactory("LRU"), cfg);
+                                   PolicyRegistry::make("LRU"), cfg);
     const auto loud = runMultiCore({&v0, &h1, &h2, &h3},
-                                   makePolicyFactory("LRU"), cfg);
+                                   PolicyRegistry::make("LRU"), cfg);
     EXPECT_LE(loud.ipc[0], calm.ipc[0] * 1.05);
 }
 

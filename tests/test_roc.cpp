@@ -103,8 +103,8 @@ TEST(RocProbeTest, ResolvesGroundTruthOnRealRun)
     // has an LLC-resident hot set, so both outcome classes occur.
     const auto tr = trace::makeSuiteTrace(10, 900000); // scan.b
     trace::MaterializedTraceSource src(tr);
-    sim::runSingleCoreObserved(src, sim::makePolicyFactory("LRU"),
-                               cfg, &probe);
+    sim::runSingleCore(src, sim::PolicyRegistry::make("LRU"), cfg,
+                       {&probe});
     EXPECT_GT(probe.roc(0).deadCount(), 1000u);
     EXPECT_GT(probe.roc(0).liveCount(), 0u);
 }

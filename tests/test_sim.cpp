@@ -25,10 +25,10 @@ TEST(PolicyFactoryTest, KnowsAllStandardNames)
          {"LRU", "Random", "SRRIP", "DRRIP", "MDPP", "SDBP",
           "Perceptron", "Hawkeye", "MPPPB", "MPPPB-MC", "MPPPB-1A",
           "MPPPB-1B", "MPPPB-T2"}) {
-        auto pol = makePolicyFactory(name)(g, 1);
+        auto pol = PolicyRegistry::make(name)(g, 1);
         ASSERT_NE(pol, nullptr) << name;
     }
-    EXPECT_THROW(makePolicyFactory("NoSuchPolicy"), FatalError);
+    EXPECT_THROW(PolicyRegistry::make("NoSuchPolicy"), FatalError);
 }
 
 TEST(PolicyFactoryTest, PaperPolicyListShape)
@@ -43,7 +43,7 @@ TEST(SingleCoreTest, ProducesConsistentNumbers)
 {
     const auto tr = trace::makeSuiteTrace(4, 120000); // gups.fit
     trace::MaterializedTraceSource src(tr);
-    const auto r = runSingleCore(src, makePolicyFactory("LRU"), {});
+    const auto r = runSingleCore(src, PolicyRegistry::make("LRU"), {});
     EXPECT_EQ(r.benchmark, tr.name());
     EXPECT_EQ(r.policy, "LRU");
     EXPECT_GT(r.instructions, 0u);
@@ -62,8 +62,8 @@ TEST(SingleCoreTest, DeterministicAcrossRuns)
     const auto tr = trace::makeSuiteTrace(7, 120000);
     // One source serves both runs: the driver rewinds at entry.
     trace::MaterializedTraceSource src(tr);
-    const auto a = runSingleCore(src, makePolicyFactory("MPPPB"), {});
-    const auto b = runSingleCore(src, makePolicyFactory("MPPPB"), {});
+    const auto a = runSingleCore(src, PolicyRegistry::make("MPPPB"), {});
+    const auto b = runSingleCore(src, PolicyRegistry::make("MPPPB"), {});
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.llcDemandMisses, b.llcDemandMisses);
 }
@@ -74,7 +74,7 @@ TEST(SingleCoreTest, MinNeverMissesMoreThanLru)
         const auto tr = trace::makeSuiteTrace(bench, 250000);
         trace::MaterializedTraceSource src(tr);
         const auto lru =
-            runSingleCore(src, makePolicyFactory("LRU"), {});
+            runSingleCore(src, PolicyRegistry::make("LRU"), {});
         const auto min = runSingleCoreMin(src, {});
         EXPECT_LE(min.llcDemandMisses, lru.llcDemandMisses)
             << tr.name();
@@ -88,7 +88,7 @@ TEST(SingleCoreTest, WarmupShrinksMeasuredWindow)
     SingleCoreConfig cfg;
     cfg.warmupFraction = 0.5;
     trace::MaterializedTraceSource src(tr);
-    const auto r = runSingleCore(src, makePolicyFactory("LRU"), cfg);
+    const auto r = runSingleCore(src, PolicyRegistry::make("LRU"), cfg);
     EXPECT_LT(r.instructions, tr.instructions());
     // Warmup stops at a record boundary; allow one pad-run of slack.
     EXPECT_GE(r.instructions, tr.instructions() / 2 - 64);
@@ -105,7 +105,7 @@ TEST(MultiCoreTest, RunsAMixAndReportsPerCoreIpc)
     cfg.measureCycles = 50000;
     trace::MaterializedTraceSource s0(t0), s1(t1), s2(t2), s3(t3);
     const auto r = runMultiCore({&s0, &s1, &s2, &s3},
-                                makePolicyFactory("LRU"), cfg);
+                                PolicyRegistry::make("LRU"), cfg);
     for (unsigned c = 0; c < 4; ++c) {
         EXPECT_GT(r.ipc[c], 0.0) << c;
         EXPECT_LE(r.ipc[c], 4.0) << c;
@@ -175,7 +175,7 @@ TEST(MultiCoreTest, SharedCacheContentionReducesIpc)
                                                        &t3};
     trace::MaterializedTraceSource s0(t0), s1(t1), s2(t2), s3(t3);
     const auto r = runMultiCore({&s0, &s1, &s2, &s3},
-                                makePolicyFactory("LRU"), cfg);
+                                PolicyRegistry::make("LRU"), cfg);
     for (unsigned c = 0; c < 4; ++c) {
         trace::MaterializedTraceSource solo_src(*traces[c]);
         const double solo = standaloneIpc(solo_src, cfg);

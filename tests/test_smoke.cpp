@@ -18,7 +18,7 @@ TEST(Smoke, MpppbRunsOnABenchmark)
     const auto trace = trace::makeSuiteTrace(0, 50000);
     trace::MaterializedTraceSource source(trace);
     const auto r = sim::runSingleCore(
-        source, sim::makePolicyFactory("MPPPB"), {});
+        source, sim::PolicyRegistry::make("MPPPB"), {});
     EXPECT_GT(r.instructions, 0u);
     EXPECT_GT(r.ipc, 0.0);
     EXPECT_LE(r.ipc, 4.0);

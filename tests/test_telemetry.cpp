@@ -44,6 +44,11 @@ TEST(MetricsRegistryTest, KindMismatchIsFatal)
     reg.counter("x");
     EXPECT_THROW(reg.gauge("x"), FatalError);
     EXPECT_THROW(reg.histogram("x", {0, 1}), FatalError);
+    EXPECT_THROW(reg.counterFn("x", [] { return std::uint64_t{0}; }),
+                 FatalError);
+    reg.counterFn("y", [] { return std::uint64_t{0}; });
+    EXPECT_THROW(reg.counter("y"), FatalError);
+    EXPECT_THROW(reg.gaugeFn("y", [] { return 0.0; }), FatalError);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsNameSorted)
@@ -69,6 +74,19 @@ TEST(MetricsRegistryTest, GaugeFnEvaluatedAtSnapshotTime)
     EXPECT_EQ(reg.snapshot().find("probe")->gauge, 1.0);
     state = 42.5;
     EXPECT_EQ(reg.snapshot().find("probe")->gauge, 42.5);
+}
+
+TEST(MetricsRegistryTest, CounterFnEvaluatedAtSnapshotTime)
+{
+    MetricsRegistry reg;
+    std::uint64_t events = 3;
+    reg.counterFn("events", [&events] { return events; });
+    events = 7;
+    const Snapshot s = reg.snapshot();
+    const auto* m = s.find("events");
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(m->kind, MetricSnapshot::Kind::Counter);
+    EXPECT_EQ(m->counter, 7u);
 }
 
 // ---------------------------------------------------------------- //

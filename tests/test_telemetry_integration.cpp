@@ -7,13 +7,22 @@
  * exports deterministically.
  */
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
+#include "policy/sdbp.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/report.hpp"
 #include "sim/multi_core.hpp"
+#include "sim/roc_probe.hpp"
 #include "sim/single_core.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/session.hpp"
+#include "trace/builder.hpp"
 #include "trace/source.hpp"
 #include "trace/spec.hpp"
 #include "trace/workloads.hpp"
@@ -44,14 +53,14 @@ TEST(TelemetryIntegrationTest, DisabledRunCarriesNoTelemetry)
     const auto tr = trace::makeSuiteTrace(4, 120000); // gups.fit
     trace::MaterializedTraceSource src(tr);
     const auto r =
-        sim::runSingleCore(src, sim::makePolicyFactory("MPPPB"), {});
+        sim::runSingleCore(src, sim::PolicyRegistry::make("MPPPB"), {});
     EXPECT_EQ(r.telemetry, nullptr);
 }
 
 TEST(TelemetryIntegrationTest, TelemetryDoesNotPerturbTheRun)
 {
     const auto tr = trace::makeSuiteTrace(4, 120000);
-    const auto factory = sim::makePolicyFactory("MPPPB");
+    const auto factory = sim::PolicyRegistry::make("MPPPB");
     // One source serves both runs: the driver rewinds at entry.
     trace::MaterializedTraceSource src(tr);
     const auto plain = sim::runSingleCore(src, factory, {});
@@ -71,7 +80,7 @@ TEST(TelemetryIntegrationTest, MetricsReconcileWithLevelStats)
     const auto tr = trace::makeSuiteTrace(0, 150000); // scan.a
     trace::MaterializedTraceSource src(tr);
     const auto r = sim::runSingleCore(
-        src, sim::makePolicyFactory("MPPPB"), telemetryConfig());
+        src, sim::PolicyRegistry::make("MPPPB"), telemetryConfig());
     ASSERT_NE(r.telemetry, nullptr);
     const auto& t = *r.telemetry;
 
@@ -130,7 +139,7 @@ TEST(TelemetryIntegrationTest, MultiCoreRunCarriesTelemetry)
     const auto t3 = trace::makeSuiteTrace(25, 200000);
     trace::MaterializedTraceSource s0(t0), s1(t1), s2(t2), s3(t3);
     const auto r = sim::runMultiCore(
-        {&s0, &s1, &s2, &s3}, sim::makePolicyFactory("MPPPB-MC"), cfg);
+        {&s0, &s1, &s2, &s3}, sim::PolicyRegistry::make("MPPPB-MC"), cfg);
     ASSERT_NE(r.telemetry, nullptr);
     const auto& t = *r.telemetry;
     EXPECT_EQ(metric(t, "llc.demand_misses").counter,
@@ -183,15 +192,176 @@ TEST(TelemetryIntegrationTest, RunnerReportsEmbedMetrics)
     EXPECT_EQ(runner::toTraceJson(set1), trace_doc);
 }
 
-TEST(TelemetryIntegrationTest, ObserverAndTelemetryAreExclusive)
+sim::MultiCoreConfig
+partitionedConfig()
 {
-    const auto tr = trace::makeSuiteTrace(4, 120000);
+    sim::MultiCoreConfig cfg;
+    cfg.hierarchy.llcBytes = 256 * 1024;
+    cfg.warmupInstructions = 60000;
+    cfg.measureCycles = 60000;
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.epochAccesses = 5000;
+    cfg.tenancy.tenants.resize(2);
+    cfg.tenancy.tenants[0].ways = 12;
+    cfg.tenancy.tenants[1].ways = 4;
+    return cfg;
+}
+
+/**
+ * Tenant runs never reset the hierarchy's statistics at the end of
+ * warmup, so DRAM traffic must be counted from the attach point like
+ * every other metric: under LRU (no bypass) each DRAM write is a dirty
+ * LLC eviction and each DRAM read a fill.
+ */
+TEST(TelemetryIntegrationTest, PartitionedMemTrafficCoversOnlyTheWindow)
+{
+    const auto t0 = trace::makeSuiteTrace(25, 150000); // gups.2x
+    const auto t1 = trace::makeSuiteTrace(7, 150000);  // thrash.2x
+    trace::MaterializedTraceSource s0(t0), s1(t1);
+    const auto r = sim::runMultiCore(
+        std::vector<trace::TraceSource*>{&s0, &s1},
+        sim::PolicyRegistry::make("LRU"), partitionedConfig());
+    ASSERT_NE(r.telemetry, nullptr);
+    const auto& t = *r.telemetry;
+    ASSERT_EQ(metric(t, "llc.bypasses").counter, 0u);
+    ASSERT_GT(metric(t, "llc.dirty_evictions").counter, 0u);
+    EXPECT_EQ(metric(t, "mem.dram_writes").gauge,
+              static_cast<double>(
+                  metric(t, "llc.dirty_evictions").counter));
+    EXPECT_LE(metric(t, "mem.dram_reads").gauge,
+              static_cast<double>(metric(t, "llc.fills").counter));
+}
+
+/**
+ * An epoch snapshot is taken inside the access that closes the epoch,
+ * before that access's fill is counted: in a run where every LLC access
+ * is a demand miss, the first epoch holds epochAccesses misses and one
+ * fill (and one DRAM read) fewer.
+ */
+TEST(TelemetryIntegrationTest, EpochSnapshotPrecedesTheClosingFill)
+{
+    trace::TraceBuilder b("cold", 0x400000, 1);
+    for (Addr a = 0; a < 40000; ++a) {
+        b.load(0, 0x10000000 + a * 64);
+        b.pad(3);
+    }
+    const trace::Trace tr = std::move(b).build();
     trace::MaterializedTraceSource src(tr);
-    cache::LlcObserver obs;
-    EXPECT_THROW(sim::runSingleCoreObserved(
-                     src, sim::makePolicyFactory("LRU"),
-                     telemetryConfig(), &obs),
-                 FatalError);
+    sim::SingleCoreConfig cfg = telemetryConfig(5000);
+    cfg.hierarchy.prefetchEnabled = false;
+    const auto r =
+        sim::runSingleCore(src, sim::PolicyRegistry::make("LRU"), cfg);
+    ASSERT_NE(r.telemetry, nullptr);
+    ASSERT_GE(r.telemetry->epochs.size(), 2u);
+    const auto& first = r.telemetry->epochs[0].snapshot;
+    EXPECT_EQ(first.find("llc.demand_misses")->counter, 5000u);
+    EXPECT_EQ(first.find("llc.fills")->counter, 4999u);
+    // The closing access's DRAM read is counted after it returns.
+    EXPECT_EQ(first.find("mem.dram_reads")->gauge, 4999.0);
+}
+
+/**
+ * The golden batch: single-core LRU, MPPPB and MIN plus one
+ * unpartitioned mix, every run at 5000 LLC accesses per epoch.
+ */
+runner::RunSet
+goldenBatch()
+{
+    const auto scan = trace::makeSuiteTrace(9, 300000); // scan.a
+    const auto gups = trace::makeSuiteTrace(4, 300000); // gups.fit
+    std::vector<runner::RunRequest> batch;
+    for (const char* policy : {"LRU", "MPPPB", "MIN"})
+        batch.push_back(runner::RunRequest::singleCore(
+            trace::TraceSpec::borrowed(scan),
+            runner::PolicySpec::byName(policy), telemetryConfig(5000)));
+    sim::MultiCoreConfig mcfg;
+    mcfg.warmupInstructions = 100000;
+    mcfg.measureCycles = 60000;
+    mcfg.telemetry.enabled = true;
+    mcfg.telemetry.epochAccesses = 5000;
+    batch.push_back(runner::RunRequest::multiCore(
+        std::vector<trace::TraceSpec>{trace::TraceSpec::borrowed(scan),
+                                      trace::TraceSpec::borrowed(gups)},
+        runner::PolicySpec::byName("MPPPB-MC"), mcfg));
+    return runner::ExperimentRunner(1).run(batch);
+}
+
+/** Compare @p got with tests/golden/@p file (MRP_UPDATE_GOLDEN=1
+ * rewrites it instead). */
+void
+expectGolden(const std::string& got, const std::string& file)
+{
+    const auto path =
+        std::filesystem::path(__FILE__).parent_path() / "golden" / file;
+    if (std::getenv("MRP_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream(path) << got;
+        return;
+    }
+    std::ifstream f(path);
+    ASSERT_TRUE(f) << "missing golden file: " << path
+                   << " (regenerate with MRP_UPDATE_GOLDEN=1)";
+    std::ostringstream want;
+    want << f.rdbuf();
+    EXPECT_EQ(got, want.str()) << "telemetry export drifted from "
+                               << path;
+}
+
+TEST(TelemetryIntegrationTest, ExportsMatchGoldenFiles)
+{
+    const auto set = goldenBatch();
+    for (const auto& r : set.results)
+        ASSERT_TRUE(r.error.empty()) << r.error;
+    expectGolden(runner::toMetricsJson(set), "telemetry_metrics.json");
+    expectGolden(runner::toTraceJson(set), "telemetry_trace.json");
+}
+
+/**
+ * A passive probe and telemetry attach to the same run without
+ * disturbing each other: the probe's ROC curve matches a probe-only
+ * run, and the telemetry matches a telemetry-only run byte for byte.
+ */
+TEST(TelemetryIntegrationTest, ObserverAndTelemetryCoexist)
+{
+    const auto tr = trace::makeSuiteTrace(10, 400000); // scan.b
+    trace::MaterializedTraceSource src(tr);
+    const auto lru = sim::PolicyRegistry::make("LRU");
+    const sim::SingleCoreConfig plain_cfg;
+    const cache::CacheGeometry geom(plain_cfg.hierarchy.llcBytes,
+                                    plain_cfg.hierarchy.llcWays);
+    const auto probe = [&] {
+        std::vector<std::unique_ptr<policy::ReusePredictor>> preds;
+        preds.push_back(
+            std::make_unique<policy::SdbpPredictor>(geom, 1));
+        return std::make_unique<sim::RocProbe>(geom, std::move(preds));
+    };
+
+    const auto probe_only = probe();
+    sim::runSingleCore(src, lru, plain_cfg, {probe_only.get()});
+    const auto telemetry_only =
+        sim::runSingleCore(src, lru, telemetryConfig(5000));
+    const auto both = probe();
+    const auto r =
+        sim::runSingleCore(src, lru, telemetryConfig(5000), {both.get()});
+
+    ASSERT_GT(probe_only->roc(0).deadCount(), 0u);
+    EXPECT_EQ(both->roc(0).deadCount(), probe_only->roc(0).deadCount());
+    EXPECT_EQ(both->roc(0).liveCount(), probe_only->roc(0).liveCount());
+    const auto want = probe_only->roc(0).curve();
+    const auto got = both->roc(0).curve();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].threshold, want[i].threshold);
+        EXPECT_EQ(got[i].falsePositiveRate, want[i].falsePositiveRate);
+        EXPECT_EQ(got[i].truePositiveRate, want[i].truePositiveRate);
+    }
+
+    ASSERT_NE(r.telemetry, nullptr);
+    ASSERT_NE(telemetry_only.telemetry, nullptr);
+    EXPECT_EQ(telemetry::metricsJson(*r.telemetry, ""),
+              telemetry::metricsJson(*telemetry_only.telemetry, ""));
+    EXPECT_EQ(telemetry::traceEventsJson(*r.telemetry, "run"),
+              telemetry::traceEventsJson(*telemetry_only.telemetry,
+                                         "run"));
 }
 
 } // namespace
