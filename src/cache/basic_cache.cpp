@@ -4,36 +4,34 @@ namespace mrp::cache {
 
 BasicCache::BasicCache(std::string name, Addr bytes, std::uint32_t ways)
     : name_(std::move(name)), geom_(bytes, ways),
-      blocks_(static_cast<std::size_t>(geom_.sets()) * geom_.ways())
+      tags_(static_cast<std::size_t>(geom_.sets()) * geom_.ways(),
+            kInvalidTag),
+      stamps_(tags_.size(), 0), dirty_(tags_.size(), 0)
 {
 }
 
-BasicCache::Block*
-BasicCache::find(Addr addr)
-{
-    const std::uint32_t set = geom_.setIndex(addr);
-    const std::uint64_t tag = geom_.tag(addr);
-    Block* base = &blocks_[static_cast<std::size_t>(set) * geom_.ways()];
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    return nullptr;
-}
-
-const BasicCache::Block*
+std::size_t
 BasicCache::find(Addr addr) const
 {
-    return const_cast<BasicCache*>(this)->find(addr);
+    const std::uint64_t tag = geom_.tag(addr);
+    const std::size_t base =
+        static_cast<std::size_t>(geom_.setIndex(addr)) * geom_.ways();
+    const std::uint64_t* tags = &tags_[base];
+    for (std::uint32_t w = 0; w < geom_.ways(); ++w)
+        if (tags[w] == tag)
+            return base + w;
+    return kAbsent;
 }
 
 bool
 BasicCache::access(Addr addr, bool is_write)
 {
     ++stats_.demandAccesses;
-    if (Block* b = find(addr)) {
-        b->lastUse = ++useClock_;
+    const std::size_t i = find(addr);
+    if (i != kAbsent) {
+        stamps_[i] = ++useClock_;
         if (is_write)
-            b->dirty = true;
+            dirty_[i] = 1;
         ++stats_.demandHits;
         return true;
     }
@@ -44,74 +42,72 @@ BasicCache::access(Addr addr, bool is_write)
 bool
 BasicCache::contains(Addr addr) const
 {
-    return find(addr) != nullptr;
+    return find(addr) != kAbsent;
 }
 
 bool
 BasicCache::touch(Addr addr)
 {
-    if (Block* b = find(addr)) {
-        b->lastUse = ++useClock_;
-        return true;
-    }
-    return false;
+    const std::size_t i = find(addr);
+    if (i == kAbsent)
+        return false;
+    stamps_[i] = ++useClock_;
+    return true;
 }
 
 VictimBlock
-BasicCache::fill(Addr addr, bool dirty, bool prefetched)
+BasicCache::fill(Addr addr, bool dirty)
 {
     const std::uint32_t set = geom_.setIndex(addr);
-    const std::uint64_t tag = geom_.tag(addr);
-    Block* base = &blocks_[static_cast<std::size_t>(set) * geom_.ways()];
+    const std::size_t base = static_cast<std::size_t>(set) * geom_.ways();
 
-    Block* slot = nullptr;
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
-            break;
-        }
-        if (!slot || base[w].lastUse < slot->lastUse)
-            slot = &base[w];
-    }
+    // Invalid ways have stamp 0 and valid ones at least 1, so the first
+    // minimum is the first free way, else the least recently used.
+    const std::uint64_t* stamps = &stamps_[base];
+    std::uint32_t way = 0;
+    for (std::uint32_t w = 1; w < geom_.ways(); ++w)
+        if (stamps[w] < stamps[way])
+            way = w;
+    const std::size_t i = base + way;
 
     VictimBlock victim;
-    if (slot->valid) {
+    if (tags_[i] != kInvalidTag) {
         victim.valid = true;
-        victim.blockAddress = geom_.blockAddrOf(set, slot->tag);
-        victim.dirty = slot->dirty;
+        victim.blockAddress = geom_.blockAddrOf(set, tags_[i]);
+        victim.dirty = dirty_[i] != 0;
         ++stats_.evictions;
-        if (slot->dirty)
+        if (victim.dirty)
             ++stats_.dirtyEvictions;
     }
 
-    slot->tag = tag;
-    slot->valid = true;
-    slot->dirty = dirty;
-    slot->prefetched = prefetched;
-    slot->lastUse = ++useClock_;
+    tags_[i] = geom_.tag(addr);
+    dirty_[i] = dirty ? 1 : 0;
+    stamps_[i] = ++useClock_;
     return victim;
 }
 
 bool
 BasicCache::markDirty(Addr addr)
 {
-    if (Block* b = find(addr)) {
-        b->dirty = true;
-        return true;
-    }
-    return false;
+    const std::size_t i = find(addr);
+    if (i == kAbsent)
+        return false;
+    dirty_[i] = 1;
+    return true;
 }
 
 VictimBlock
 BasicCache::invalidate(Addr addr)
 {
     VictimBlock out;
-    if (Block* b = find(addr)) {
+    const std::size_t i = find(addr);
+    if (i != kAbsent) {
         out.valid = true;
         out.blockAddress = blockAddr(addr) << kBlockShift;
-        out.dirty = b->dirty;
-        b->valid = false;
-        b->dirty = false;
+        out.dirty = dirty_[i] != 0;
+        tags_[i] = kInvalidTag;
+        stamps_[i] = 0;
+        dirty_[i] = 0;
     }
     return out;
 }

@@ -5,6 +5,15 @@
  * The upper levels do not need pluggable policies (the paper's
  * techniques manage only the LLC), so this class is kept simple and
  * fast: linear tag search within a set and 64-bit LRU stamps.
+ *
+ * Block state is held struct-of-arrays, set-major: a u64 tag array, a
+ * u64 recency-stamp array and a u8 dirty array, each indexed
+ * set * ways + way. A tag probe of an 8-way set reads one 64-byte host
+ * line. An invalid way holds the tag kInvalidTag (~0, which no real tag
+ * reaches: tags are block addresses, at most 58 bits) and stamp 0, while
+ * every valid way has a stamp of at least 1. So lookup is a plain tag
+ * compare, and "first free way, else the least recently used" is one
+ * first-minimum scan over the stamps.
  */
 
 #ifndef MRP_CACHE_BASIC_CACHE_HPP
@@ -56,10 +65,9 @@ class BasicCache
     /**
      * Install the block of @p addr, assumed absent.
      * @param dirty install in dirty state (writeback allocation)
-     * @param prefetched tag the block as brought in by a prefetch
      * @return the displaced block, if any
      */
-    VictimBlock fill(Addr addr, bool dirty, bool prefetched);
+    VictimBlock fill(Addr addr, bool dirty);
 
     /** Mark an (assumed present) block dirty; returns false if absent. */
     bool markDirty(Addr addr);
@@ -71,21 +79,18 @@ class BasicCache
     const stats::LevelStats& stats() const { return stats_; }
 
   private:
-    struct Block
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;
-    };
+    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
 
-    Block* find(Addr addr);
-    const Block* find(Addr addr) const;
+    /** Index of @p addr's block in the arrays, or kAbsent. */
+    std::size_t find(Addr addr) const;
 
     std::string name_;
     CacheGeometry geom_;
-    std::vector<Block> blocks_; // sets * ways, set-major
+    // sets * ways each, set-major
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> stamps_;
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t useClock_ = 0;
     stats::LevelStats stats_;
 };

@@ -66,12 +66,12 @@ Hierarchy::access(CoreId core, Pc pc, Addr addr, bool is_write,
         }
         if (r.victim.valid && r.victim.dirty)
             ++dramWrites_;
-        const VictimBlock v2 = l2_[core].fill(addr, false, false);
+        const VictimBlock v2 = l2_[core].fill(addr, false);
         if (v2.valid && v2.dirty)
             writebackToLlc(core, v2.blockAddress);
     }
 
-    const VictimBlock v1 = l1_[core].fill(addr, is_write, false);
+    const VictimBlock v1 = l1_[core].fill(addr, is_write);
     if (v1.valid && v1.dirty)
         writebackToL2(core, v1.blockAddress);
 
@@ -91,7 +91,7 @@ Hierarchy::writebackToL2(CoreId core, Addr block_address)
     // Write-allocate in L2 (non-inclusive hierarchy: the L1 victim may
     // no longer be present below).
     ++l2_[core].stats().writebackMisses;
-    const VictimBlock v = l2_[core].fill(block_address, true, false);
+    const VictimBlock v = l2_[core].fill(block_address, true);
     if (v.valid && v.dirty)
         writebackToLlc(core, v.blockAddress);
 }
@@ -136,12 +136,12 @@ Hierarchy::issuePrefetches(CoreId core, const CoreContext* ctx)
             if (r.victim.valid && r.victim.dirty)
                 ++dramWrites_;
             ++l2_[core].stats().prefetchAccesses;
-            const VictimBlock v2 = l2_[core].fill(addr, false, true);
+            const VictimBlock v2 = l2_[core].fill(addr, false);
             if (v2.valid && v2.dirty)
                 writebackToLlc(core, v2.blockAddress);
         }
         ++l1_[core].stats().prefetchAccesses;
-        const VictimBlock v1 = l1_[core].fill(addr, false, true);
+        const VictimBlock v1 = l1_[core].fill(addr, false);
         if (v1.valid && v1.dirty)
             writebackToL2(core, v1.blockAddress);
     }

@@ -8,27 +8,22 @@ namespace mrp::cache {
 PolicyCache::PolicyCache(Addr bytes, std::uint32_t ways,
                          std::unique_ptr<LlcPolicy> policy, unsigned cores)
     : geom_(bytes, ways), policy_(std::move(policy)),
-      blocks_(static_cast<std::size_t>(geom_.sets()) * geom_.ways()),
+      tags_(static_cast<std::size_t>(geom_.sets()) * geom_.ways(),
+            kInvalidTag),
+      owners_(tags_.size(), 0), dirty_(tags_.size(), 0),
       demandMissesPerCore_(cores, 0)
 {
     fatalIf(!policy_, "PolicyCache requires a policy");
     fatalIf(cores == 0, "PolicyCache requires at least one core");
 }
 
-PolicyCache::Block&
-PolicyCache::blockAt(std::uint32_t set, std::uint32_t way)
-{
-    return blocks_[static_cast<std::size_t>(set) * geom_.ways() + way];
-}
-
 int
-PolicyCache::findWay(std::uint32_t set, std::uint64_t tag,
+PolicyCache::findWay(std::size_t base, std::uint64_t tag,
                      std::uint32_t owner) const
 {
-    const Block* base =
-        &blocks_[static_cast<std::size_t>(set) * geom_.ways()];
+    const std::uint64_t* tags = &tags_[base];
     for (std::uint32_t w = 0; w < geom_.ways(); ++w)
-        if (base[w].valid && base[w].tag == tag && base[w].owner == owner)
+        if (tags[w] == tag && owners_[base + w] == owner)
             return static_cast<int>(w);
     return -1;
 }
@@ -38,6 +33,7 @@ PolicyCache::access(const AccessInfo& info)
 {
     MRP_PROF_SCOPE_HOT("llc.access");
     const std::uint32_t set = geom_.setIndex(info.addr);
+    const std::size_t base = static_cast<std::size_t>(set) * geom_.ways();
     const std::uint64_t tag = geom_.tag(info.addr);
     const std::uint32_t owner = policy_->tenantOf(info);
 
@@ -55,11 +51,11 @@ PolicyCache::access(const AccessInfo& info)
     }
 
     LlcResult result;
-    const int hit_way = findWay(set, tag, owner);
+    const int hit_way = findWay(base, tag, owner);
     if (hit_way >= 0) {
         result.hit = true;
         if (info.type == AccessType::Writeback)
-            blockAt(set, static_cast<std::uint32_t>(hit_way)).dirty = true;
+            dirty_[base + static_cast<std::uint32_t>(hit_way)] = 1;
         switch (info.type) {
           case AccessType::Load:
           case AccessType::Store:
@@ -108,7 +104,7 @@ PolicyCache::access(const AccessInfo& info)
     // (within the partition) sets.
     std::uint32_t fill_way = geom_.ways();
     for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if ((allowed >> w & 1) != 0 && !blockAt(set, w).valid) {
+        if ((allowed >> w & 1) != 0 && tags_[base + w] == kInvalidTag) {
             fill_way = w;
             break;
         }
@@ -127,23 +123,21 @@ PolicyCache::access(const AccessInfo& info)
         panicIf(fill_way >= geom_.ways() ||
                     (allowed >> fill_way & 1) == 0,
                 "policy returned a victim way outside the fill mask");
-        Block& victim = blockAt(set, fill_way);
         result.victim.valid = true;
-        result.victim.blockAddress = geom_.blockAddrOf(set, victim.tag);
-        result.victim.dirty = victim.dirty;
+        result.victim.blockAddress =
+            geom_.blockAddrOf(set, tags_[base + fill_way]);
+        result.victim.dirty = dirty_[base + fill_way] != 0;
         ++stats_.evictions;
-        if (victim.dirty)
+        if (result.victim.dirty)
             ++stats_.dirtyEvictions;
         policy_->onEvict(set, fill_way);
         for (LlcObserver* o : observers_)
             o->onEvict(set, fill_way, result.victim.blockAddress);
     }
 
-    Block& slot = blockAt(set, fill_way);
-    slot.tag = tag;
-    slot.owner = owner;
-    slot.valid = true;
-    slot.dirty = info.type == AccessType::Writeback;
+    tags_[base + fill_way] = tag;
+    owners_[base + fill_way] = owner;
+    dirty_[base + fill_way] = info.type == AccessType::Writeback ? 1 : 0;
     ++stats_.fills;
     policy_->onFill(info, set, fill_way);
     for (LlcObserver* o : observers_)
@@ -155,12 +149,12 @@ bool
 PolicyCache::contains(Addr addr) const
 {
     // Presence check is owner-agnostic: any tenant's copy counts.
-    const std::uint32_t set = geom_.setIndex(addr);
     const std::uint64_t tag = geom_.tag(addr);
-    const Block* base =
-        &blocks_[static_cast<std::size_t>(set) * geom_.ways()];
+    const std::uint64_t* tags =
+        &tags_[static_cast<std::size_t>(geom_.setIndex(addr)) *
+               geom_.ways()];
     for (std::uint32_t w = 0; w < geom_.ways(); ++w)
-        if (base[w].valid && base[w].tag == tag)
+        if (tags[w] == tag)
             return true;
     return false;
 }
@@ -169,8 +163,8 @@ std::uint64_t
 PolicyCache::ownerBlockCount(std::uint32_t owner) const
 {
     std::uint64_t n = 0;
-    for (const Block& b : blocks_)
-        if (b.valid && b.owner == owner)
+    for (std::size_t i = 0; i < tags_.size(); ++i)
+        if (tags_[i] != kInvalidTag && owners_[i] == owner)
             ++n;
     return n;
 }

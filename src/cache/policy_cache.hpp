@@ -1,6 +1,11 @@
 /**
  * @file
  * The shared last-level cache with a pluggable management policy.
+ *
+ * Block state is struct-of-arrays, set-major like BasicCache: u64 tags
+ * (kInvalidTag, ~0, marks an invalid way), u32 tenant owners read only
+ * after a tag match, and u8 dirty flags. A 16-way tag probe reads two
+ * 64-byte host lines. Recency lives in the policy, not here.
  */
 
 #ifndef MRP_CACHE_POLICY_CACHE_HPP
@@ -67,22 +72,18 @@ class PolicyCache
     void resetStats();
 
   private:
-    struct Block
-    {
-        std::uint64_t tag = 0;
-        std::uint32_t owner = 0; //!< tenant id; 0 when unpartitioned
-        bool valid = false;
-        bool dirty = false;
-    };
+    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
-    Block& blockAt(std::uint32_t set, std::uint32_t way);
-    int findWay(std::uint32_t set, std::uint64_t tag,
+    int findWay(std::size_t base, std::uint64_t tag,
                 std::uint32_t owner) const;
 
     CacheGeometry geom_;
     std::unique_ptr<LlcPolicy> policy_;
     std::vector<LlcObserver*> observers_;
-    std::vector<Block> blocks_;
+    // sets * ways each, set-major
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint32_t> owners_; //!< tenant id; 0 unpartitioned
+    std::vector<std::uint8_t> dirty_;
     stats::LevelStats stats_;
     std::vector<std::uint64_t> demandMissesPerCore_;
 };

@@ -165,18 +165,17 @@ buildProfile(trace::TraceSource& source, const MrcConfig& cfg)
                 if (!l1.access(addr, write)) {
                     if (!l2.access(addr, false)) {
                         llcTouch(blockAddr(addr), true, measuring);
-                        const auto v2 = l2.fill(addr, false, false);
+                        const auto v2 = l2.fill(addr, false);
                         if (v2.valid && v2.dirty)
                             llcTouch(blockAddr(v2.blockAddress), false,
                                      measuring);
                     }
-                    const auto v1 = l1.fill(addr, write, false);
+                    const auto v1 = l1.fill(addr, write);
                     if (v1.valid && v1.dirty &&
                         !l2.markDirty(v1.blockAddress)) {
                         // Write-allocate the L1 victim in L2, like
                         // Hierarchy::writebackToL2.
-                        const auto v = l2.fill(v1.blockAddress, true,
-                                               false);
+                        const auto v = l2.fill(v1.blockAddress, true);
                         if (v.valid && v.dirty)
                             llcTouch(blockAddr(v.blockAddress), false,
                                      measuring);

@@ -1,6 +1,7 @@
 #include "prefetch/stream_prefetcher.hpp"
 
-#include <cstdlib>
+#include <bit>
+#include <string>
 
 #include "prof/profiler.hpp"
 #include "util/logging.hpp"
@@ -8,16 +9,22 @@
 namespace mrp::prefetch {
 
 StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherConfig& cfg)
-    : cfg_(cfg), streams_(cfg.streams)
+    : cfg_(cfg)
 {
-    fatalIf(cfg.streams == 0, "prefetcher needs at least one stream");
+    // Checked before the table is sized from it.
+    fatalIf(cfg.streams == 0 || cfg.streams > kMaxStreams,
+            "prefetcher needs 1.." + std::to_string(kMaxStreams) +
+                " streams, got " + std::to_string(cfg.streams));
+    lastBlock_.assign(cfg.streams, 0);
+    head_.assign(cfg.streams, 0);
+    direction_.assign(cfg.streams, 0);
+    lastUse_.assign(cfg.streams, 0);
 }
 
 void
 StreamPrefetcher::reset()
 {
-    for (auto& s : streams_)
-        s = Stream{};
+    lastUse_.assign(lastUse_.size(), 0);
     useClock_ = 0;
     if (tracking_)
         enableTracking(); // restart the tracked period cleanly
@@ -82,65 +89,60 @@ StreamPrefetcher::onL1Miss(Addr addr, std::vector<Addr>& out)
         }
     }
 
-    // Try to match an existing stream within the window.
-    Stream* match = nullptr;
-    for (auto& s : streams_) {
-        if (!s.valid)
-            continue;
-        const Addr ref = s.lastBlock;
+    // Try to match an existing stream within the window: the first live
+    // slot in slot order whose last miss is 1..window blocks away.
+    const std::size_t n = lastUse_.size();
+    std::uint64_t matches = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Addr ref = lastBlock_[i];
         const Addr delta = blk > ref ? blk - ref : ref - blk;
-        if (delta != 0 && delta <= cfg_.window) {
-            match = &s;
-            break;
-        }
+        // delta - 1 < window  <=>  0 < delta <= window (unsigned wrap)
+        const bool hit = (lastUse_[i] != 0) & (delta - 1 < cfg_.window);
+        matches |= static_cast<std::uint64_t>(hit) << i;
     }
 
-    if (!match) {
-        // Allocate a stream (LRU replacement among the 16 entries).
-        Stream* lru = &streams_[0];
-        for (auto& s : streams_) {
-            if (!s.valid) {
-                lru = &s;
-                break;
-            }
-            if (s.lastUse < lru->lastUse)
-                lru = &s;
-        }
-        *lru = Stream{};
-        lru->valid = true;
-        lru->startBlock = blk;
-        lru->lastBlock = blk;
-        lru->head = blk;
-        lru->lastUse = useClock_;
+    if (matches == 0) {
+        // Allocate a stream: the first free slot, else the LRU one.
+        std::size_t lru = 0;
+        for (std::size_t i = 1; i < n; ++i)
+            if (lastUse_[i] < lastUse_[lru])
+                lru = i;
+        lastBlock_[lru] = blk;
+        head_[lru] = blk;
+        direction_[lru] = 0;
+        lastUse_[lru] = useClock_;
         return;
     }
 
-    match->lastUse = useClock_;
-    if (match->direction == 0) {
+    const auto m = static_cast<std::size_t>(std::countr_zero(matches));
+    lastUse_[m] = useClock_;
+    if (direction_[m] == 0) {
         // Second miss decides the direction (paper: at most two misses).
-        match->direction = blk > match->lastBlock ? +1 : -1;
-        match->head = blk;
+        direction_[m] = blk > lastBlock_[m] ? +1 : -1;
+        head_[m] = blk;
     }
-    match->lastBlock = blk;
+    lastBlock_[m] = blk;
 
     // Keep the prefetch head ahead of the miss in the stream direction.
-    const int dir = match->direction;
+    const int dir = direction_[m];
     const auto ahead_of = [dir](Addr a, Addr b) {
         return dir > 0 ? a > b : a < b;
     };
-    if (!ahead_of(match->head, blk))
-        match->head = blk;
+    Addr head = head_[m];
+    if (!ahead_of(head, blk))
+        head = blk;
 
     const Addr limit = dir > 0 ? blk + cfg_.distance : blk - cfg_.distance;
     unsigned emitted = 0;
-    while (emitted < cfg_.degree && ahead_of(limit, match->head)) {
-        match->head = dir > 0 ? match->head + 1 : match->head - 1;
-        out.push_back(match->head << kBlockShift);
+    while (emitted < cfg_.degree && ahead_of(limit, head)) {
+        head = dir > 0 ? head + 1 : head - 1;
+        out.push_back(head << kBlockShift);
         ++issued_;
         ++emitted;
         if (tracking_)
-            filter_[match->head & (kFilterSlots - 1)] = match->head;
+            filter_[head & (kFilterSlots - 1)] = head;
     }
+    head_[m] = head;
 }
 
 } // namespace mrp::prefetch

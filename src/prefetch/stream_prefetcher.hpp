@@ -4,6 +4,13 @@
  * stream begins on an L1 miss, waits for at most two misses to decide
  * its direction, then generates prefetch requests; 16 streams are
  * tracked with LRU replacement.
+ *
+ * The stream table is held as parallel per-slot arrays. Matching a miss
+ * is one branch-free pass that builds a 64-bit mask of the slots whose
+ * last miss lies within the window; its lowest set bit is the first
+ * match in slot order. A slot with last-use stamp 0 is free (stamps of
+ * live streams start at 1), so "first free slot, else the least
+ * recently used" is one first-minimum scan over the stamps.
  */
 
 #ifndef MRP_PREFETCH_STREAM_PREFETCHER_HPP
@@ -19,7 +26,7 @@ namespace mrp::prefetch {
 /** Tuning knobs of the stream prefetcher. */
 struct StreamPrefetcherConfig
 {
-    unsigned streams = 16;  //!< concurrently tracked streams
+    unsigned streams = 16;  //!< concurrently tracked streams (1..64)
     unsigned degree = 2;    //!< prefetches issued per triggering miss
     unsigned distance = 4;  //!< how far ahead of the miss to run
     unsigned window = 16;   //!< miss-to-stream matching window (blocks)
@@ -76,23 +83,20 @@ class StreamPrefetcher
      * the prefetcher hid. */
     double coverage() const;
 
-  private:
-    struct Stream
-    {
-        bool valid = false;
-        Addr startBlock = 0;  //!< block that allocated the stream
-        Addr lastBlock = 0;   //!< most recent miss matched to it
-        Addr head = 0;        //!< next block to prefetch
-        int direction = 0;    //!< 0 until confirmed, else +1/-1
-        std::uint64_t lastUse = 0;
-    };
+    /** Upper bound on StreamPrefetcherConfig::streams. */
+    static constexpr unsigned kMaxStreams = 64;
 
+  private:
     /** Direct-mapped recently-prefetched filter (block addresses). */
     static constexpr std::size_t kFilterSlots = 4096;
     static constexpr Addr kNoBlock = ~Addr{0};
 
     StreamPrefetcherConfig cfg_;
-    std::vector<Stream> streams_;
+    // One entry per stream slot.
+    std::vector<Addr> lastBlock_;        //!< most recent matched miss
+    std::vector<Addr> head_;             //!< last block prefetched
+    std::vector<int> direction_;         //!< 0 until confirmed, else ±1
+    std::vector<std::uint64_t> lastUse_; //!< 0 marks a free slot
     std::uint64_t useClock_ = 0;
     std::uint64_t issued_ = 0;
     bool tracking_ = false;

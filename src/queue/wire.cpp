@@ -208,25 +208,49 @@ hierarchyJson(const cache::HierarchyConfig& h)
     return out;
 }
 
+/**
+ * One cache level's geometry, rejected with CorruptInput where the
+ * cache constructors would abort: the bytes come from another process.
+ */
+void
+readGeometry(const Value& v, const char* prefix, Addr& bytes,
+             std::uint32_t& ways, const std::string& what)
+{
+    const std::string p = prefix;
+    bytes = reqU64(v, p + "Bytes", what);
+    const std::uint64_t w = reqU64(v, p + "Ways", what);
+    const std::string why =
+        w > UINT32_MAX
+            ? std::to_string(w) + " ways does not fit 32 bits"
+            : cache::CacheGeometry::describeInvalid(
+                  bytes, static_cast<std::uint32_t>(w));
+    fatalIf(!why.empty(), ErrorCode::CorruptInput,
+            what + ": invalid " + p + " geometry: " + why);
+    ways = static_cast<std::uint32_t>(w);
+}
+
 cache::HierarchyConfig
 hierarchyFromJson(const Value& v, const std::string& what)
 {
     cache::HierarchyConfig h;
     h.cores = reqUnsigned(v, "cores", what);
-    h.l1Bytes = reqU64(v, "l1Bytes", what);
-    h.l1Ways = static_cast<std::uint32_t>(reqU64(v, "l1Ways", what));
-    h.l2Bytes = reqU64(v, "l2Bytes", what);
-    h.l2Ways = static_cast<std::uint32_t>(reqU64(v, "l2Ways", what));
-    h.llcBytes = reqU64(v, "llcBytes", what);
-    h.llcWays =
-        static_cast<std::uint32_t>(reqU64(v, "llcWays", what));
+    readGeometry(v, "l1", h.l1Bytes, h.l1Ways, what);
+    readGeometry(v, "l2", h.l2Bytes, h.l2Ways, what);
+    readGeometry(v, "llc", h.llcBytes, h.llcWays, what);
     h.l1Latency = reqU64(v, "l1Latency", what);
     h.l2Latency = reqU64(v, "l2Latency", what);
     h.llcLatency = reqU64(v, "llcLatency", what);
     h.memLatency = reqU64(v, "memLatency", what);
     h.prefetchEnabled = reqBool(v, "prefetchEnabled", what);
     const auto& p = reqObj(v, "prefetcher", what);
-    h.prefetcher.streams = reqUnsigned(p, "streams", what);
+    const std::uint64_t streams = reqU64(p, "streams", what);
+    const unsigned max_streams = prefetch::StreamPrefetcher::kMaxStreams;
+    fatalIf(streams == 0 || streams > max_streams,
+            ErrorCode::CorruptInput,
+            what + ": prefetcher.streams must be 1.." +
+                std::to_string(max_streams) + ", got " +
+                std::to_string(streams));
+    h.prefetcher.streams = static_cast<unsigned>(streams);
     h.prefetcher.degree = reqUnsigned(p, "degree", what);
     h.prefetcher.distance = reqUnsigned(p, "distance", what);
     h.prefetcher.window = reqUnsigned(p, "window", what);

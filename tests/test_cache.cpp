@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <list>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "cache/policy_cache.hpp"
 #include "policy/lru.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace mrp::cache {
 namespace {
@@ -48,7 +51,7 @@ TEST(BasicCacheTest, HitAfterFill)
 {
     BasicCache c("t", 8 * 1024, 8);
     EXPECT_FALSE(c.access(0x1000, false));
-    c.fill(0x1000, false, false);
+    c.fill(0x1000, false);
     EXPECT_TRUE(c.access(0x1000, false));
     EXPECT_TRUE(c.access(0x103F, false)); // same block
     EXPECT_FALSE(c.access(0x1040, false)); // next block
@@ -63,10 +66,10 @@ TEST(BasicCacheTest, EvictsTrueLru)
     const std::uint32_t sets = c.geometry().sets();
     ASSERT_EQ(sets, 1u);
     for (std::uint64_t t = 0; t < 4; ++t)
-        c.fill(addrOf(0, t, 1), false, false);
+        c.fill(addrOf(0, t, 1), false);
     // Touch 0 to make 1 the LRU.
     EXPECT_TRUE(c.access(addrOf(0, 0, 1), false));
-    const VictimBlock v = c.fill(addrOf(0, 9, 1), false, false);
+    const VictimBlock v = c.fill(addrOf(0, 9, 1), false);
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.blockAddress, addrOf(0, 1, 1));
     EXPECT_FALSE(c.contains(addrOf(0, 1, 1)));
@@ -76,10 +79,10 @@ TEST(BasicCacheTest, EvictsTrueLru)
 TEST(BasicCacheTest, DirtyTracking)
 {
     BasicCache c("t", 256, 4);
-    c.fill(0x0, false, false);
+    c.fill(0x0, false);
     EXPECT_TRUE(c.access(0x0, true)); // write marks dirty
     for (std::uint64_t t = 1; t <= 4; ++t)
-        c.fill(addrOf(0, t, 1), false, false);
+        c.fill(addrOf(0, t, 1), false);
     // The original block was evicted dirty.
     EXPECT_EQ(c.stats().dirtyEvictions, 1u);
 }
@@ -88,7 +91,7 @@ TEST(BasicCacheTest, MarkDirtyAndInvalidate)
 {
     BasicCache c("t", 256, 4);
     EXPECT_FALSE(c.markDirty(0x0));
-    c.fill(0x0, false, false);
+    c.fill(0x0, false);
     EXPECT_TRUE(c.markDirty(0x0));
     const VictimBlock v = c.invalidate(0x0);
     EXPECT_TRUE(v.valid);
@@ -101,12 +104,205 @@ TEST(BasicCacheTest, TouchRefreshesWithoutStats)
 {
     BasicCache c("t", 256, 4);
     for (std::uint64_t t = 0; t < 4; ++t)
-        c.fill(addrOf(0, t, 1), false, false);
+        c.fill(addrOf(0, t, 1), false);
     const auto demand_before = c.stats().demandAccesses;
     EXPECT_TRUE(c.touch(addrOf(0, 0, 1)));
     EXPECT_EQ(c.stats().demandAccesses, demand_before);
-    const VictimBlock v = c.fill(addrOf(0, 7, 1), false, false);
+    const VictimBlock v = c.fill(addrOf(0, 7, 1), false);
     EXPECT_EQ(v.blockAddress, addrOf(0, 1, 1)); // 0 was refreshed
+}
+
+/**
+ * Naive true-LRU write-back cache: one std::list per set, most recent
+ * first. Way placement is not modelled, so it checks BasicCache's
+ * replacement order, victims and counters independently of its arrays.
+ */
+class ReferenceLruCache
+{
+  public:
+    ReferenceLruCache(Addr bytes, std::uint32_t ways)
+        : geom_(bytes, ways), sets_(geom_.sets())
+    {
+    }
+
+    bool
+    access(Addr addr, bool is_write)
+    {
+        ++stats.demandAccesses;
+        if (Entry* e = promote(addr)) {
+            e->dirty = e->dirty || is_write;
+            ++stats.demandHits;
+            return true;
+        }
+        ++stats.demandMisses;
+        return false;
+    }
+
+    bool contains(Addr addr) { return lookup(addr) != set(addr).end(); }
+
+    bool touch(Addr addr) { return promote(addr) != nullptr; }
+
+    VictimBlock
+    fill(Addr addr, bool dirty)
+    {
+        auto& s = set(addr);
+        VictimBlock v;
+        if (s.size() == geom_.ways()) {
+            v.valid = true;
+            v.blockAddress = s.back().block << kBlockShift;
+            v.dirty = s.back().dirty;
+            ++stats.evictions;
+            if (v.dirty)
+                ++stats.dirtyEvictions;
+            s.pop_back();
+        }
+        s.push_front({blockAddr(addr), dirty});
+        return v;
+    }
+
+    bool
+    markDirty(Addr addr)
+    {
+        const auto it = lookup(addr);
+        if (it == set(addr).end())
+            return false;
+        it->dirty = true;
+        return true;
+    }
+
+    VictimBlock
+    invalidate(Addr addr)
+    {
+        VictimBlock v;
+        const auto it = lookup(addr);
+        if (it != set(addr).end()) {
+            v.valid = true;
+            v.blockAddress = it->block << kBlockShift;
+            v.dirty = it->dirty;
+            set(addr).erase(it);
+        }
+        return v;
+    }
+
+    stats::LevelStats stats;
+
+  private:
+    struct Entry
+    {
+        Addr block;
+        bool dirty;
+    };
+
+    std::list<Entry>& set(Addr addr) { return sets_[geom_.setIndex(addr)]; }
+
+    std::list<Entry>::iterator
+    lookup(Addr addr)
+    {
+        auto& s = set(addr);
+        for (auto it = s.begin(); it != s.end(); ++it)
+            if (it->block == blockAddr(addr))
+                return it;
+        return s.end();
+    }
+
+    Entry*
+    promote(Addr addr)
+    {
+        auto& s = set(addr);
+        const auto it = lookup(addr);
+        if (it == s.end())
+            return nullptr;
+        s.splice(s.begin(), s, it);
+        return &s.front();
+    }
+
+    CacheGeometry geom_;
+    std::vector<std::list<Entry>> sets_;
+};
+
+void
+expectSameStats(const stats::LevelStats& a, const stats::LevelStats& b)
+{
+    EXPECT_EQ(a.demandAccesses, b.demandAccesses);
+    EXPECT_EQ(a.demandHits, b.demandHits);
+    EXPECT_EQ(a.demandMisses, b.demandMisses);
+    EXPECT_EQ(a.prefetchAccesses, b.prefetchAccesses);
+    EXPECT_EQ(a.prefetchHits, b.prefetchHits);
+    EXPECT_EQ(a.prefetchMisses, b.prefetchMisses);
+    EXPECT_EQ(a.writebackAccesses, b.writebackAccesses);
+    EXPECT_EQ(a.writebackHits, b.writebackHits);
+    EXPECT_EQ(a.writebackMisses, b.writebackMisses);
+    EXPECT_EQ(a.bypasses, b.bypasses);
+    EXPECT_EQ(a.fills, b.fills);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions);
+}
+
+TEST(BasicCacheTest, MatchesNaiveLruReferenceOnRandomSequences)
+{
+    struct Shape
+    {
+        Addr bytes;
+        std::uint32_t ways;
+    };
+    for (const Shape shape : {Shape{64, 1}, Shape{1024, 4},
+                              Shape{4096, 8}, Shape{8192, 16}}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE("bytes " + std::to_string(shape.bytes) +
+                         " ways " + std::to_string(shape.ways) +
+                         " seed " + std::to_string(seed));
+            BasicCache dut("t", shape.bytes, shape.ways);
+            ReferenceLruCache ref(shape.bytes, shape.ways);
+            Rng rng(seed);
+            // A block pool about three times the capacity keeps hits,
+            // misses and evictions all common; the top blocks check that
+            // tags near 2^58 never collide with the invalid marker.
+            const Addr pool = 3 * shape.bytes / kBlockBytes;
+            for (int step = 0; step < 20000; ++step) {
+                const Addr block = rng.below(8) == 0
+                                       ? blockAddr(~Addr{0}) - rng.below(4)
+                                       : rng.below(pool);
+                const Addr addr =
+                    (block << kBlockShift) | rng.below(kBlockBytes);
+                switch (rng.below(6)) {
+                  case 0:
+                  case 1: {
+                      const bool write = rng.below(2) == 0;
+                      ASSERT_EQ(dut.access(addr, write),
+                                ref.access(addr, write));
+                      break;
+                  }
+                  case 2:
+                      ASSERT_EQ(dut.touch(addr), ref.touch(addr));
+                      break;
+                  case 3: {
+                      ASSERT_EQ(dut.contains(addr), ref.contains(addr));
+                      if (ref.contains(addr))
+                          break;
+                      const bool dirty = rng.below(2) == 0;
+                      const VictimBlock a = dut.fill(addr, dirty);
+                      const VictimBlock b = ref.fill(addr, dirty);
+                      ASSERT_EQ(a.valid, b.valid) << "step " << step;
+                      ASSERT_EQ(a.blockAddress, b.blockAddress);
+                      ASSERT_EQ(a.dirty, b.dirty);
+                      break;
+                  }
+                  case 4:
+                      ASSERT_EQ(dut.markDirty(addr), ref.markDirty(addr));
+                      break;
+                  case 5: {
+                      const VictimBlock a = dut.invalidate(addr);
+                      const VictimBlock b = ref.invalidate(addr);
+                      ASSERT_EQ(a.valid, b.valid) << "step " << step;
+                      ASSERT_EQ(a.blockAddress, b.blockAddress);
+                      ASSERT_EQ(a.dirty, b.dirty);
+                      break;
+                  }
+                }
+            }
+            expectSameStats(dut.stats(), ref.stats);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -313,6 +509,82 @@ TEST(PolicyCacheTest, StatsByType)
     c.resetStats();
     EXPECT_EQ(c.stats().totalAccesses(), 0u);
     EXPECT_EQ(c.demandMissesOf(0), 0u);
+}
+
+/** LRU whose tenant is the requesting core, confined to half the set. */
+class TwoTenantLruPolicy : public policy::LruPolicy
+{
+  public:
+    using policy::LruPolicy::LruPolicy;
+
+    std::uint32_t
+    tenantOf(const AccessInfo& info) const override
+    {
+        return info.core;
+    }
+    WayMask
+    fillWays(const AccessInfo& info, std::uint32_t) override
+    {
+        return info.core == 0 ? 0b0011 : 0b1100;
+    }
+};
+
+/** Counts hits per core. */
+class HitsByCore : public LlcObserver
+{
+  public:
+    std::array<int, 2> hits{};
+
+    void
+    onAccess(const AccessInfo& info, bool hit, std::uint32_t,
+             int) override
+    {
+        hits[info.core] += hit ? 1 : 0;
+    }
+};
+
+TEST(PolicyCacheTest, TenantsHoldPrivateCopiesOfTheSameTag)
+{
+    const CacheGeometry g(256, 4); // one set
+    PolicyCache c(256, 4, std::make_unique<TwoTenantLruPolicy>(g), 2);
+    HitsByCore obs;
+    c.addObserver(obs);
+    const auto by = [](CoreId core, Addr a) {
+        AccessInfo info = demand(a);
+        info.core = core;
+        return info;
+    };
+    const Addr a = addrOf(0, 1, 1), b = addrOf(0, 2, 1),
+               d = addrOf(0, 3, 1);
+
+    EXPECT_FALSE(c.contains(a));
+    EXPECT_FALSE(c.access(by(0, a)).hit);
+    EXPECT_TRUE(c.contains(a));
+    // Tenant 1 does not see tenant 0's copy: it misses and fills its own.
+    EXPECT_FALSE(c.access(by(1, a)).hit);
+    EXPECT_EQ(c.ownerBlockCount(0), 1u);
+    EXPECT_EQ(c.ownerBlockCount(1), 1u);
+    EXPECT_TRUE(c.access(by(0, a)).hit);
+    EXPECT_TRUE(c.access(by(1, a)).hit);
+    EXPECT_TRUE(c.access(by(1, a)).hit);
+    EXPECT_EQ(obs.hits[0], 1);
+    EXPECT_EQ(obs.hits[1], 2);
+
+    // Tenant 0 pushes its copy of a out of its two ways.
+    EXPECT_FALSE(c.access(by(0, b)).hit);
+    const LlcResult r = c.access(by(0, d));
+    ASSERT_TRUE(r.victim.valid);
+    EXPECT_EQ(r.victim.blockAddress, a);
+    EXPECT_EQ(c.ownerBlockCount(0), 2u);
+    EXPECT_EQ(c.ownerBlockCount(1), 1u);
+    // Presence is owner-agnostic: tenant 1's copy still counts.
+    EXPECT_TRUE(c.contains(a));
+    EXPECT_FALSE(c.access(by(0, a)).hit);
+    EXPECT_TRUE(c.access(by(1, a)).hit);
+    EXPECT_EQ(obs.hits[0], 1);
+    EXPECT_EQ(obs.hits[1], 3);
+    EXPECT_EQ(c.demandMissesOf(0), 4u);
+    EXPECT_EQ(c.demandMissesOf(1), 1u);
 }
 
 } // namespace

@@ -183,6 +183,57 @@ TEST_F(QueueTest, RequestJsonRefusesWhatCannotCrossTheWire)
     }
 }
 
+/** @p j with the number after the first "key": replaced by @p value. */
+std::string
+withNumber(std::string j, const std::string& key, const std::string& value)
+{
+    const std::string k = "\"" + key + "\": ";
+    const auto at = j.find(k);
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos)
+        return j;
+    const auto from = at + k.size();
+    const auto to = j.find_first_not_of("0123456789", from);
+    return j.replace(from, to - from, value);
+}
+
+TEST_F(QueueTest, RequestJsonRejectsBadHierarchyAsCorruptInput)
+{
+    const std::string j = requestJson(suiteRequest(2));
+    const std::pair<const char*, const char*> bad[] = {
+        {"streams", "0"},
+        {"streams", "65"},
+        {"streams", "4294967295"},
+        {"streams", "18446744073709551615"},
+        {"l1Ways", "0"},
+        {"l1Bytes", "1000"},
+        {"l2Ways", "4294967304"}, // wraps to 8 if cast unchecked
+        {"l2Bytes", "196608"},    // 3 * 64KB: non-power-of-two sets
+        {"llcWays", "3"},
+        {"llcBytes", "0"},
+    };
+    for (const auto& [key, value] : bad) {
+        SCOPED_TRACE(std::string(key) + " = " + value);
+        const std::string tampered = withNumber(j, key, value);
+        ASSERT_NE(tampered, j);
+        try {
+            requestFromJson(tampered, "test");
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::CorruptInput) << e.what();
+        }
+    }
+    // The bounds themselves are accepted.
+    for (const char* streams : {"1", "64"}) {
+        const auto back =
+            requestFromJson(withNumber(j, "streams", streams), "test");
+        EXPECT_EQ(std::to_string(std::get<sim::SingleCoreConfig>(
+                                     back.config)
+                                     .hierarchy.prefetcher.streams),
+                  streams);
+    }
+}
+
 // --- protocol lines --------------------------------------------------
 
 TEST_F(QueueTest, ProtocolLinesRoundTrip)

@@ -1,15 +1,17 @@
 /**
  * @file
  * Unit tests for the utility layer: bit manipulation, saturating
- * counters, RNG, history buffer, and numeric helpers.
+ * counters, RNG, history buffer, numeric helpers, and CRC-32.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <set>
+#include <vector>
 
 #include "util/bitfield.hpp"
+#include "util/crc32.hpp"
 #include "util/hash.hpp"
 #include "util/history.hpp"
 #include "util/logging.hpp"
@@ -223,6 +225,71 @@ TEST(Types, BlockArithmetic)
     EXPECT_EQ(blockAddr(64), 1u);
     EXPECT_EQ(blockOffset(0x1234), 0x34u & 63u);
     EXPECT_EQ(kBlockBytes, 64u);
+}
+
+/** The textbook bitwise CRC-32: the reference the table code must match. */
+std::uint32_t
+bitwiseCrcStep(std::uint32_t state, const unsigned char* p, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        state ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            state = (state & 1u) ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    }
+    return state;
+}
+
+std::vector<unsigned char>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<unsigned char> v(n);
+    for (auto& b : v)
+        b = static_cast<unsigned char>(rng.next());
+    return v;
+}
+
+TEST(Crc32Test, StandardCheckValue)
+{
+    EXPECT_EQ(Crc32::of("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(Crc32::of(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    constexpr std::size_t kMaxLen = 4096;
+    const auto bytes = randomBytes(kMaxLen + 16, 0xC4C32);
+    for (std::size_t align = 0; align < 16; ++align) {
+        const unsigned char* base = bytes.data() + align;
+        // The reference state advances one byte per length, so each
+        // prefix costs one bitwise step.
+        std::uint32_t ref = 0xFFFFFFFFu;
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            if (len > 0)
+                ref = bitwiseCrcStep(ref, base + len - 1, 1);
+            ASSERT_EQ(Crc32::of(base, len), ~ref)
+                << "align " << align << " len " << len;
+        }
+    }
+}
+
+TEST(Crc32Test, IncrementalUpdatesMatchOneShotAtRandomSplits)
+{
+    Rng rng(77);
+    for (int trial = 0; trial < 500; ++trial) {
+        const std::size_t len = rng.below(4097);
+        const auto bytes = randomBytes(len, rng.next());
+        const std::uint32_t want =
+            ~bitwiseCrcStep(0xFFFFFFFFu, bytes.data(), len);
+        Crc32 crc;
+        std::size_t at = 0;
+        while (at < len) {
+            const std::size_t piece = rng.below(len - at + 1);
+            crc.update(bytes.data() + at, piece);
+            at += piece;
+        }
+        ASSERT_EQ(crc.value(), want) << "trial " << trial;
+    }
 }
 
 } // namespace
