@@ -5,23 +5,11 @@
  * paper reports 27.5KB single-core — sampler 20.67KB, tables 2.64KB,
  * feature vector 0.44KB, MDPP 3.75KB — and 104KB for 4 cores,
  * both ~1.3% of their LLC's capacity).
- *
- * Also reports the *host* overhead of the self-profiling subsystem:
- * min-of-N user CPU time of the same simulation with and without an
- * attached prof::Profiler (the detached cost is a thread-local load
- * and branch per scope; the attached cost is two TSC reads and a
- * child-array index). Scale with MRP_BENCH_INSTS / MRP_BENCH_REPS.
  */
 
-#include <algorithm>
 #include <cstdio>
 
-#include <sys/resource.h>
-
-#include "bench_util.hpp"
 #include "core/mpppb.hpp"
-#include "prof/profiler.hpp"
-#include "runner/experiment_runner.hpp"
 #include "util/bitfield.hpp"
 
 namespace {
@@ -104,64 +92,6 @@ report(const char* name, const core::MpppbConfig& cfg, unsigned cores,
                     static_cast<double>(llc_bytes));
 }
 
-double
-processUserSeconds()
-{
-    rusage ru{};
-    ::getrusage(RUSAGE_SELF, &ru);
-    return static_cast<double>(ru.ru_utime.tv_sec) +
-           static_cast<double>(ru.ru_utime.tv_usec) * 1e-6;
-}
-
-/** Min-of-N user CPU seconds for one simulated run. */
-double
-minUserSeconds(const trace::Trace& t, unsigned reps, bool profiled)
-{
-    runner::RunnerOptions ropts;
-    ropts.profile = profiled;
-    const auto req = runner::RunRequest::singleCore(
-        trace::TraceSpec::borrowed(t),
-        runner::PolicySpec::byName("MPPPB"));
-    double best = 0.0;
-    for (unsigned i = 0; i < reps; ++i) {
-        const double before = processUserSeconds();
-        const auto r = runner::ExperimentRunner::runOne(req, 0, ropts);
-        const double user = processUserSeconds() - before;
-        panicIf(!r.ok(), "overhead-measurement run failed: " + r.error);
-        best = i == 0 ? user : std::min(best, user);
-    }
-    return best;
-}
-
-void
-reportProfilerOverhead()
-{
-    const auto insts = static_cast<InstCount>(
-        bench::envCount("MRP_BENCH_INSTS", 400000));
-    const auto reps = static_cast<unsigned>(
-        bench::envCount("MRP_BENCH_REPS", 3));
-    const trace::Trace t = [&] {
-        for (unsigned i = 0; i < trace::suiteSize(); ++i)
-            if (trace::suiteName(i) == "thrash.2x")
-                return trace::makeSuiteTrace(i, insts);
-        panicIf(true, "thrash.2x missing from the suite");
-        return trace::makeSuiteTrace(0, insts);
-    }();
-
-    // Warm once (allocators, site registry) before timing.
-    minUserSeconds(t, 1, true);
-    const double detached = minUserSeconds(t, reps, false);
-    const double attached = minUserSeconds(t, reps, true);
-    const double pct =
-        detached > 0.0 ? (attached / detached - 1.0) * 100.0 : 0.0;
-    std::printf("# Profiler host overhead (thrash.2x, %llu insts, "
-                "min of %u)\n",
-                static_cast<unsigned long long>(insts), reps);
-    std::printf("  detached user time      : %8.3f s\n", detached);
-    std::printf("  attached user time      : %8.3f s\n", attached);
-    std::printf("  attached overhead       : %+8.1f %%\n", pct);
-}
-
 } // namespace
 
 int
@@ -173,6 +103,5 @@ main()
            2 * 1024 * 1024, 16);
     report("multi-core MPPPB", core::multiCoreMpppbConfig(), 4,
            8 * 1024 * 1024, 16);
-    reportProfilerOverhead();
     return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "prof/profiler.hpp"
 #include "telemetry/session.hpp"
 #include "util/logging.hpp"
 
@@ -22,7 +21,10 @@ Hierarchy::Hierarchy(const HierarchyConfig& cfg,
     : cfg_(cfg),
       llc_(cfg.llcBytes, cfg.llcWays, std::move(llc_policy), cfg.cores)
 {
-    fatalIf(cfg.cores == 0, "hierarchy needs at least one core");
+    fatalIf(cfg.cores == 0 || cfg.cores > HierarchyConfig::kMaxCores,
+            "hierarchy needs 1.." +
+                std::to_string(HierarchyConfig::kMaxCores) +
+                " cores, got " + std::to_string(cfg.cores));
     for (unsigned c = 0; c < cfg.cores; ++c) {
         l1_.emplace_back("L1D", cfg.l1Bytes, cfg.l1Ways);
         l2_.emplace_back("L2", cfg.l2Bytes, cfg.l2Ways);
@@ -99,7 +101,6 @@ Hierarchy::writebackToL2(CoreId core, Addr block_address)
 void
 Hierarchy::writebackToLlc(CoreId core, Addr block_address)
 {
-    MRP_PROF_SCOPE_HOT("llc.writeback");
     AccessInfo info;
     info.pc = kWritebackPc;
     info.addr = block_address;
@@ -116,7 +117,6 @@ Hierarchy::writebackToLlc(CoreId core, Addr block_address)
 void
 Hierarchy::issuePrefetches(CoreId core, const CoreContext* ctx)
 {
-    MRP_PROF_SCOPE_HOT("llc.prefetch.issue");
     // Iterate by index: the LLC writebacks triggered below never touch
     // pfBuf_, but keep the loop robust anyway.
     for (std::size_t i = 0; i < pfBuf_.size(); ++i) {

@@ -31,6 +31,10 @@ namespace mrp::cache {
 /** Sizing and latency parameters (defaults follow the paper §4.1). */
 struct HierarchyConfig
 {
+    /** Most cores a Hierarchy accepts. Each core gets its own L1, L2
+     * and prefetcher, so decoders of untrusted configs bound by it. */
+    static constexpr unsigned kMaxCores = 64;
+
     unsigned cores = 1;
     Addr l1Bytes = 32 * 1024;
     std::uint32_t l1Ways = 8;

@@ -1,6 +1,5 @@
 #include "cache/policy_cache.hpp"
 
-#include "prof/profiler.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::cache {
@@ -15,6 +14,9 @@ PolicyCache::PolicyCache(Addr bytes, std::uint32_t ways,
 {
     fatalIf(!policy_, "PolicyCache requires a policy");
     fatalIf(cores == 0, "PolicyCache requires at least one core");
+    fatalIf(ways > kMaxWays, "PolicyCache supports at most " +
+                                 std::to_string(kMaxWays) +
+                                 " ways, got " + std::to_string(ways));
 }
 
 int
@@ -31,7 +33,6 @@ PolicyCache::findWay(std::size_t base, std::uint64_t tag,
 LlcResult
 PolicyCache::access(const AccessInfo& info)
 {
-    MRP_PROF_SCOPE_HOT("llc.access");
     const std::uint32_t set = geom_.setIndex(info.addr);
     const std::size_t base = static_cast<std::size_t>(set) * geom_.ways();
     const std::uint64_t tag = geom_.tag(info.addr);

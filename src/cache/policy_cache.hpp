@@ -37,6 +37,10 @@ struct LlcResult
 class PolicyCache
 {
   public:
+    /** Way sets travel as a 64-bit WayMask, so way 64 and up cannot
+     * be named; the constructor refuses wider caches. */
+    static constexpr std::uint32_t kMaxWays = 64;
+
     PolicyCache(Addr bytes, std::uint32_t ways,
                 std::unique_ptr<LlcPolicy> policy, unsigned cores);
 

@@ -1,7 +1,6 @@
 #include "core/mpppb.hpp"
 
 #include "core/feature_sets.hpp"
-#include "prof/profiler.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::core {
@@ -153,7 +152,6 @@ void
 MpppbPolicy::onHit(const cache::AccessInfo& info, std::uint32_t set,
                    std::uint32_t way)
 {
-    MRP_PROF_SCOPE_HOT("llc.promote");
     if (info.type == cache::AccessType::Writeback)
         return;
     const int conf = predictor_.observe(info, set, true);
@@ -172,7 +170,6 @@ MpppbPolicy::onHit(const cache::AccessInfo& info, std::uint32_t set,
 void
 MpppbPolicy::onMiss(const cache::AccessInfo& info, std::uint32_t set)
 {
-    MRP_PROF_SCOPE_HOT("llc.predict");
     if (info.type == cache::AccessType::Writeback) {
         lastConfidence_ = 0;
         return;
@@ -218,7 +215,6 @@ MpppbPolicy::shouldBypass(const cache::AccessInfo& info, std::uint32_t set)
 std::uint32_t
 MpppbPolicy::victimWay(const cache::AccessInfo& info, std::uint32_t set)
 {
-    MRP_PROF_SCOPE_HOT("llc.victim");
     return mdpp_ ? mdpp_->victimWay(info, set)
                  : srrip_->victimWay(info, set);
 }
@@ -227,7 +223,6 @@ std::uint32_t
 MpppbPolicy::victimWayIn(const cache::AccessInfo& info, std::uint32_t set,
                          cache::WayMask mask)
 {
-    MRP_PROF_SCOPE_HOT("llc.victim");
     return mdpp_ ? mdpp_->victimWayIn(info, set, mask)
                  : srrip_->victimWayIn(info, set, mask);
 }
@@ -236,7 +231,6 @@ void
 MpppbPolicy::onFill(const cache::AccessInfo& info, std::uint32_t set,
                     std::uint32_t way)
 {
-    MRP_PROF_SCOPE_HOT("llc.place");
     if (info.type == cache::AccessType::Writeback) {
         // Dirty data evicted from above is installed at a distant but
         // not immediate-victim position.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "prof/profiler.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::core {
@@ -147,7 +146,6 @@ MultiperspectivePredictor::samplerAccess(const cache::AccessInfo& info,
                                          const IndexVec& idx,
                                          int confidence)
 {
-    MRP_PROF_SCOPE_HOT("llc.sampler");
     SamplerSet& sset = samplerSets_[sampling_.samplerSetOf(set)];
     const auto first = sset.entries.begin();
     const std::uint16_t tag = policy::SetSampling::partialTag(info.addr);
@@ -161,25 +159,19 @@ MultiperspectivePredictor::samplerAccess(const cache::AccessInfo& info,
         // Train "live" only in tables whose associativity would still
         // have held the block (p < A); gate on the stored prediction
         // per the perceptron rule.
-        {
-            MRP_PROF_SCOPE_HOT("llc.train");
-            const SamplerEntry& entry = sset.entries[pos];
-            if (entry.confidence > -cfg_.trainingThreshold)
-                train(liveAt_[pos], entry.indices, /*dead=*/false);
-            ++trainingEvents_;
-            trainDemotions(sset, pos);
-        }
+        const SamplerEntry& entry = sset.entries[pos];
+        if (entry.confidence > -cfg_.trainingThreshold)
+            train(liveAt_[pos], entry.indices, /*dead=*/false);
+        ++trainingEvents_;
+        trainDemotions(sset, pos);
         // Move the entry to MRU.
         std::rotate(first, first + static_cast<long>(pos),
                     first + static_cast<long>(pos) + 1);
     } else {
         // ---- Placement: everyone shifts down one position, and a
         // full set evicts its LRU entry. ----
-        {
-            MRP_PROF_SCOPE_HOT("llc.train");
-            trainDemotions(sset, sset.count);
-            ++trainingEvents_;
-        }
+        trainDemotions(sset, sset.count);
+        ++trainingEvents_;
         if (sset.count < cfg_.samplerAssoc)
             ++sset.count;
         std::rotate(first, first + sset.count - 1, first + sset.count);

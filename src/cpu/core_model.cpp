@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "prof/profiler.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::cpu {
@@ -151,10 +150,6 @@ CoreModel::step()
     // Everything from here to retirement is the cost of servicing one
     // memory access: enter-slot arbitration, the hierarchy walk (with
     // the policy work nested below it), and MSHR/retire accounting.
-    // This is the measured window's cost-model boundary — BENCH
-    // coverage is computed from the llc.* phases directly under
-    // "measure", this scope chief among them.
-    MRP_PROF_SCOPE_HOT("llc.service");
     const Cycle e = takeEnterSlot();
     const bool is_write = rec.op() == trace::Op::Store;
     const Cycle lat =

@@ -3,7 +3,6 @@
 #include <bit>
 #include <string>
 
-#include "prof/profiler.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::prefetch {
@@ -76,7 +75,6 @@ StreamPrefetcher::coverage() const
 void
 StreamPrefetcher::onL1Miss(Addr addr, std::vector<Addr>& out)
 {
-    MRP_PROF_SCOPE_HOT("prefetch.train");
     const Addr blk = blockAddr(addr);
     ++useClock_;
 

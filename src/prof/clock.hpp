@@ -2,14 +2,13 @@
  * @file
  * The profiler's timestamp source.
  *
- * Phase scopes fire on the simulator's hot path (every LLC access in
- * the worst case), so the per-scope cost must be a register read, not
- * a syscall. On x86-64 we read the invariant TSC directly (~10ns,
- * vDSO-free); elsewhere we fall back to steady_clock. Ticks are NOT
- * seconds: the Profiler calibrates the tick period over its own
- * lifetime (wall-clock delta / tick delta), so no upfront calibration
- * spin is ever needed and frequency differences between machines
- * cancel out of every report.
+ * Every phase-scope entry reads the clock twice, so the read should be
+ * a register read, not a syscall. On x86-64 we read the invariant TSC
+ * directly (~10ns, vDSO-free); elsewhere we fall back to
+ * steady_clock. Ticks are NOT seconds: the Profiler calibrates the
+ * tick period over its own lifetime (wall-clock delta / tick delta),
+ * so no upfront calibration spin is ever needed and frequency
+ * differences between machines cancel out of every report.
  */
 
 #ifndef MRP_PROF_CLOCK_HPP

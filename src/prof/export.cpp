@@ -156,8 +156,6 @@ benchJson(const std::string& name, const std::vector<BenchRun>& runs,
                json::formatDouble(p.instsPerSecond) + ",\n";
         out += "      " + json::key("accessesPerSecond") +
                json::formatDouble(p.accessesPerSecond) + ",\n";
-        out += "      " + json::key("llcCoverage") +
-               json::formatDouble(llcCoverage(p.root)) + ",\n";
         out += "      " + json::key("phases");
         phaseJson(p.root, 6, &out);
         out += "\n    }";

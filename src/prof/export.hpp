@@ -1,13 +1,12 @@
 /**
  * @file
- * Serialization of profiles into the canonical BENCH_<name>.json
- * artifact and into Chrome trace_event form.
+ * Serialization of profiles into the `--prof-out` document
+ * (schema "mrp-bench-v1") and into Chrome trace_event form.
  *
- * BENCH documents are the unit of benchmark exchange: the bench
- * harness writes them, CI uploads them, and tools/bench_guard diffs a
- * fresh one against a committed baseline. The schema is versioned
- * ("mrp-bench-v1") so the guard can reject documents it does not
- * understand instead of silently comparing apples to oranges.
+ * A `--prof-out` document records, per run, the host stats (wall,
+ * user and sys time, RSS high-water, throughput) and the coarse
+ * phase tree. It explains where one run's time went; comparing the
+ * speed of two builds is perfbench's job (perfbench/README.md).
  */
 
 #ifndef MRP_PROF_EXPORT_HPP
@@ -21,7 +20,7 @@
 
 namespace mrp::prof {
 
-/** Host identity stamped into every BENCH document. */
+/** Host identity stamped into every `--prof-out` document. */
 struct MachineInfo
 {
     std::string os;       //!< uname sysname, e.g. "Linux"
@@ -41,7 +40,7 @@ MachineInfo machineInfo();
  */
 std::string gitSha();
 
-/** One profiled run inside a BENCH document. */
+/** One profiled run inside a `--prof-out` document. */
 struct BenchRun
 {
     std::string label;     //!< unique within the document
@@ -51,7 +50,7 @@ struct BenchRun
 };
 
 /**
- * Render a complete BENCH_<name>.json document. Deterministic for a
+ * Render a complete `--prof-out` document. Deterministic for a
  * given input (machine/sha are inputs, not re-captured), pretty enough
  * to read, stable enough to diff.
  */
@@ -70,7 +69,7 @@ std::string phaseTreeJson(const PhaseStat& p, int indent);
 
 /**
  * Inverse of phaseTreeJson (and of the "phases" object inside a
- * BENCH document). Malformed input — missing keys, wrong types at
+ * `--prof-out` document). Malformed input — missing keys, wrong types at
  * any depth — throws FatalError(ErrorCode::CorruptInput). The
  * shortest-round-trip double formatter makes
  * phaseTreeJson(phaseTreeFromJson(x)) byte-identical to x.

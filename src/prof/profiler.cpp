@@ -44,59 +44,18 @@ processMaxRssKb()
     return ru.ru_maxrss; // kilobytes on Linux
 }
 
-/** Minimum back-to-back TSC read distance: the cost every timed scope
- * entry pays for its own clock reads, compensated out at finish(). */
-std::uint64_t
-calibrateTickCost()
-{
-    std::uint64_t best = ~std::uint64_t{0};
-    for (int i = 0; i < 64; ++i) {
-        const std::uint64_t a = tick();
-        const std::uint64_t b = tick();
-        if (b - a < best)
-            best = b - a;
-    }
-    return best;
-}
-
-/**
- * Convert one node subtree into report form (no merging yet). A
- * sampled (hot) site's inclusive time is estimated from the mean of
- * its timed entries scaled to the full entry count; exactly-timed
- * sites have timed == count and the expression is exact. Each timed
- * entry's own clock-read cost is subtracted so scaling a sampled mean
- * does not multiply timer overhead into the estimate.
- */
+/** Convert one node subtree into report form (no merging yet). */
 PhaseStat
-rawStat(const Profiler::Node& node, double tick_period,
-        std::uint64_t tick_cost)
+rawStat(const Profiler::Node& node, double tick_period)
 {
     PhaseStat s;
     s.label = node.label;
     s.count = node.count;
-    const std::uint64_t timer_ticks = node.timed * tick_cost;
-    const std::uint64_t ticks =
-        node.ticks > timer_ticks ? node.ticks - timer_ticks : 0;
-    const double est =
-        node.timed > 0 ? static_cast<double>(ticks) *
-                             (static_cast<double>(node.count) /
-                              static_cast<double>(node.timed))
-                       : 0.0;
-    s.inclusiveSeconds = est * tick_period;
+    s.inclusiveSeconds = static_cast<double>(node.ticks) * tick_period;
     for (const auto& child : node.children)
         if (child)
-            s.children.push_back(rawStat(*child, tick_period, tick_cost));
+            s.children.push_back(rawStat(*child, tick_period));
     return s;
-}
-
-/** Scale a subtree's times by @p f (sampled-estimate reconciliation). */
-void
-scaleSubtree(PhaseStat& s, double f)
-{
-    s.inclusiveSeconds *= f;
-    s.exclusiveSeconds *= f;
-    for (auto& c : s.children)
-        scaleSubtree(c, f);
 }
 
 /**
@@ -128,16 +87,9 @@ normalize(PhaseStat& s)
         normalize(c);
         child_sum += c.inclusiveSeconds;
     }
-    // Sampled estimates are unbiased but not exact: children may sum
-    // to slightly more than their parent. Reconcile by scaling the
-    // children down proportionally so the tree invariants (Σ children
-    // ≤ parent inclusive, exclusive ≥ 0) hold by construction.
-    if (child_sum > s.inclusiveSeconds && child_sum > 0.0) {
-        const double f = s.inclusiveSeconds / child_sum;
-        for (auto& c : s.children)
-            scaleSubtree(c, f);
-        child_sum = s.inclusiveSeconds;
-    }
+    // Every entry is timed and a child's interval lies inside its
+    // parent's, so Σ children ≤ parent holds in ticks; the clamp only
+    // absorbs floating-point rounding of the tick-to-second scaling.
     s.exclusiveSeconds = std::max(0.0, s.inclusiveSeconds - child_sum);
 }
 
@@ -187,30 +139,8 @@ findPhase(const PhaseStat& root, std::string_view label)
     return nullptr;
 }
 
-double
-llcCoverage(const PhaseStat& root)
-{
-    // Sum over every "measure" node in the tree (preorder walk).
-    double measure = 0.0;
-    double covered = 0.0;
-    const auto walk = [&](const PhaseStat& n, const auto& self) -> void {
-        if (n.label == "measure") {
-            measure += n.inclusiveSeconds;
-            for (const auto& c : n.children)
-                if (c.label.rfind("llc.", 0) == 0)
-                    covered += c.inclusiveSeconds;
-            return; // nothing below measure is a second window
-        }
-        for (const auto& c : n.children)
-            self(c, self);
-    };
-    walk(root, walk);
-    return measure > 0.0 ? covered / measure : 0.0;
-}
-
 Profiler::Profiler()
-    : current_(&root_), startTick_(tick()),
-      tickCost_(calibrateTickCost())
+    : current_(&root_), startTick_(tick())
 {
     root_.label = "run";
     threadCpu(&startUser_, &startSys_);
@@ -245,8 +175,7 @@ Profiler::finish()
             : 0.0;
     root_.ticks = total_ticks;
     root_.count = 1;
-    root_.timed = 1;
-    r.root = rawStat(root_, tick_period, tickCost_);
+    r.root = rawStat(root_, tick_period);
     normalize(r.root);
     return r;
 }

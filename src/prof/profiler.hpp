@@ -10,13 +10,13 @@
  *    thread-local pointer load and a branch when no Profiler is
  *    attached to the current thread. Reports produced without a
  *    profiler are byte-identical to a build without instrumentation.
- *  - Cheap when attached: scope enter/exit is an array-indexed child
+ *  - Exact when attached: scope enter/exit is an array-indexed child
  *    lookup (call sites are registered once and get dense integer
- *    ids) plus a few integer ops. Hot sites (MRP_PROF_SCOPE_HOT, the
- *    per-access ones) read the TSC only on a sampled subset of
- *    entries and scale: counts stay exact, times are estimates from
- *    the sampled mean. Coarse sites time every entry exactly. No
- *    allocation after a phase's first visit, no locks, no atomics.
+ *    ids) plus two TSC reads, and every entry is timed. Scopes mark
+ *    coarse phases only (warmup/measure windows, MIN passes, sweep
+ *    steps, trace generation and decode, MRC construction), never a
+ *    per-access path. No allocation after a phase's first visit, no
+ *    locks, no atomics.
  *  - One profiler per run, one run per thread: the parallel runner
  *    parallelizes *across* runs, so each worker thread attaches its
  *    own Profiler and the trees never share state.
@@ -43,16 +43,6 @@ namespace mrp::prof {
 
 /** Dense id of one MRP_PROF_SCOPE call site (process-wide). */
 using SiteId = std::uint32_t;
-
-/**
- * Sampling period of MRP_PROF_SCOPE_HOT sites: the TSC is read on the
- * first entry and then every kHotSamplePeriod-th one. Prime, so the
- * sample stride cannot alias with the power-of-two periodicities the
- * synthetic workloads are built from. A TSC read costs ~20 ns on a
- * virtualized host — reading it on every one of the millions of
- * per-access scope entries would dominate the very times reported.
- */
-inline constexpr std::uint32_t kHotSamplePeriod = 61;
 
 /**
  * Register a scope call site and return its id. Called once per site
@@ -103,14 +93,6 @@ struct ProfileReport
 /** Phase anywhere in @p root's tree by label (preorder), or null. */
 const PhaseStat* findPhase(const PhaseStat& root, std::string_view label);
 
-/**
- * Fraction of a report's "measure" phase covered by its direct
- * `llc.*` children — the "is the hot path attributable?" number the
- * bench harness prints. Sums over every "measure" node (Belady MIN
- * runs have two passes). Returns 0 when no measure phase was timed.
- */
-double llcCoverage(const PhaseStat& root);
-
 class Profiler;
 
 namespace detail {
@@ -141,18 +123,15 @@ class Profiler
     struct Node
     {
         const char* label = nullptr;
-        std::uint64_t ticks = 0; //!< inclusive over *timed* entries
-        std::uint64_t count = 0; //!< all entries
-        std::uint64_t timed = 0; //!< entries that read the TSC
-        std::uint32_t period = 1;    //!< time every period-th entry
-        std::uint32_t countdown = 1; //!< entries until the next sample
+        std::uint64_t ticks = 0; //!< inclusive over all entries
+        std::uint64_t count = 0; //!< entries
         /** Children indexed by SiteId (sparse; sites are few). */
         std::vector<std::unique_ptr<Node>> children;
     };
 
     /** Descend into @p site's node; returns the previous position. */
     Node*
-    enter(SiteId site, const char* label, std::uint32_t period)
+    enter(SiteId site, const char* label)
     {
         Node* parent = current_;
         if (site >= parent->children.size())
@@ -161,28 +140,17 @@ class Profiler
         if (!slot) {
             slot = std::make_unique<Node>();
             slot->label = label;
-            slot->period = period;
         }
         current_ = slot.get();
         return parent;
     }
 
-    Node* currentNode() { return current_; }
-
     void
-    leaveTimed(Node* parent, std::uint64_t start_tick)
+    leave(Node* parent, std::uint64_t start_tick)
     {
         Node* n = current_;
         n->ticks += tick() - start_tick;
-        ++n->timed;
         ++n->count;
-        current_ = parent;
-    }
-
-    void
-    leaveFast(Node* parent)
-    {
-        ++current_->count;
         current_ = parent;
     }
 
@@ -192,7 +160,6 @@ class Profiler
     Node root_;
     Node* current_;
     std::uint64_t startTick_;
-    std::uint64_t tickCost_; //!< ticks one timed entry spends on rdtsc
     Stopwatch wall_;
     double startUser_ = 0.0;
     double startSys_ = 0.0;
@@ -215,34 +182,23 @@ class Attach
     Profiler* prev_;
 };
 
-/** RAII phase scope; use through MRP_PROF_SCOPE[_HOT]. */
+/** RAII phase scope; use through MRP_PROF_SCOPE. */
 class Scope
 {
   public:
-    Scope(SiteId site, const char* label, std::uint32_t period)
+    Scope(SiteId site, const char* label)
     {
         prof_ = Profiler::current();
         if (!prof_)
             return;
-        parent_ = prof_->enter(site, label, period);
-        // The sampling decision is made at entry so the (expensive)
-        // TSC read is skipped entirely on unsampled entries; a node's
-        // first entry is always timed.
-        Profiler::Node* n = prof_->currentNode();
-        if (--n->countdown == 0) {
-            n->countdown = n->period;
-            start_ = tick();
-        }
+        parent_ = prof_->enter(site, label);
+        start_ = tick();
     }
 
     ~Scope()
     {
-        if (!prof_)
-            return;
-        if (start_ != 0)
-            prof_->leaveTimed(parent_, start_);
-        else
-            prof_->leaveFast(parent_);
+        if (prof_)
+            prof_->leave(parent_, start_);
     }
 
     Scope(const Scope&) = delete;
@@ -251,7 +207,7 @@ class Scope
   private:
     Profiler* prof_;
     Profiler::Node* parent_ = nullptr;
-    std::uint64_t start_ = 0; //!< 0 = entry not sampled
+    std::uint64_t start_ = 0;
 };
 
 } // namespace mrp::prof
@@ -261,30 +217,17 @@ class Scope
 
 /**
  * Time the rest of the enclosing block as phase @p label (a string
- * literal, dot-hierarchical by convention: "llc.predict"). Nesting
- * scopes nests phases. No-op unless a Profiler is attached to the
- * current thread; define MRP_PROF_DISABLED to compile sites out
- * entirely.
- *
- * MRP_PROF_SCOPE times every entry exactly — use it for coarse
- * phases (windows, passes, decode). MRP_PROF_SCOPE_HOT counts every
- * entry but reads the TSC only every kHotSamplePeriod-th one — use
- * it for sites entered once per simulated access, where exact timing
- * would cost more than the work being timed.
+ * literal, dot-hierarchical by convention: "min.replay"). Nesting
+ * scopes nests phases, and every entry is timed exactly. No-op unless
+ * a Profiler is attached to the current thread. For coarse phases
+ * only: per-access layer attribution belongs to perfbench's
+ * decorators (perfbench/README.md), which cost nothing when absent.
  */
-#ifdef MRP_PROF_DISABLED
-#define MRP_PROF_SCOPE(label) ((void)0)
-#define MRP_PROF_SCOPE_HOT(label) ((void)0)
-#else
-#define MRP_PROF_SCOPE_P(label, period)                                \
+#define MRP_PROF_SCOPE(label)                                          \
     static const ::mrp::prof::SiteId MRP_PROF_CONCAT(                  \
         mrp_prof_site_, __LINE__) = ::mrp::prof::registerSite(label);  \
     const ::mrp::prof::Scope MRP_PROF_CONCAT(mrp_prof_scope_,          \
                                              __LINE__)(                \
-        MRP_PROF_CONCAT(mrp_prof_site_, __LINE__), label, period)
-#define MRP_PROF_SCOPE(label) MRP_PROF_SCOPE_P(label, 1)
-#define MRP_PROF_SCOPE_HOT(label)                                      \
-    MRP_PROF_SCOPE_P(label, ::mrp::prof::kHotSamplePeriod)
-#endif
+        MRP_PROF_CONCAT(mrp_prof_site_, __LINE__), label)
 
 #endif // MRP_PROF_PROFILER_HPP

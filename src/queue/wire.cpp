@@ -233,10 +233,19 @@ cache::HierarchyConfig
 hierarchyFromJson(const Value& v, const std::string& what)
 {
     cache::HierarchyConfig h;
-    h.cores = reqUnsigned(v, "cores", what);
+    const std::uint64_t cores = reqU64(v, "cores", what);
+    const unsigned max_cores = cache::HierarchyConfig::kMaxCores;
+    fatalIf(cores == 0 || cores > max_cores, ErrorCode::CorruptInput,
+            what + ": cores must be 1.." + std::to_string(max_cores) +
+                ", got " + std::to_string(cores));
+    h.cores = static_cast<unsigned>(cores);
     readGeometry(v, "l1", h.l1Bytes, h.l1Ways, what);
     readGeometry(v, "l2", h.l2Bytes, h.l2Ways, what);
     readGeometry(v, "llc", h.llcBytes, h.llcWays, what);
+    const std::uint32_t max_ways = cache::PolicyCache::kMaxWays;
+    fatalIf(h.llcWays > max_ways, ErrorCode::CorruptInput,
+            what + ": llcWays must be at most " + std::to_string(max_ways) +
+                ", got " + std::to_string(h.llcWays));
     h.l1Latency = reqU64(v, "l1Latency", what);
     h.l2Latency = reqU64(v, "l2Latency", what);
     h.llcLatency = reqU64(v, "llcLatency", what);

@@ -5,7 +5,7 @@
  *
  * The checkpoint journal carries its own schema-locked line parser;
  * this one is for documents whose shape is only known at runtime
- * (BENCH_*.json benchmark artifacts, progress JSONL lines in tests).
+ * (`--prof-out` profile documents, progress JSONL lines in tests).
  * It parses strict JSON into a Value tree; numbers are doubles
  * (sufficient for every artifact we read: counts fit in 2^53).
  */

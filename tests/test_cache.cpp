@@ -399,6 +399,26 @@ TEST(PolicyCacheTest, FillsInvalidWaysBeforeAskingPolicy)
     EXPECT_EQ(r.victim.blockAddress, addrOf(0, 0, 1));
 }
 
+TEST(PolicyCacheTest, WaysAreBoundedByTheWayMask)
+{
+    // 128 ways in one set is a valid geometry, but a WayMask cannot
+    // name way 64 and up, so the cache refuses it at construction.
+    const CacheGeometry wide(128 * 64, 128);
+    EXPECT_THROW(PolicyCache(128 * 64, 128,
+                             std::make_unique<policy::LruPolicy>(wide), 1),
+                 FatalError);
+
+    // kMaxWays is the bound: every way fills before the first eviction.
+    static_assert(PolicyCache::kMaxWays == 64);
+    const CacheGeometry g(64 * 64, 64);
+    PolicyCache c(64 * 64, 64, std::make_unique<policy::LruPolicy>(g), 1);
+    for (std::uint64_t t = 0; t < 64; ++t)
+        EXPECT_FALSE(c.access(demand(addrOf(0, t, 1))).victim.valid);
+    const auto r = c.access(demand(addrOf(0, 64, 1)));
+    EXPECT_TRUE(r.victim.valid);
+    EXPECT_EQ(r.victim.blockAddress, addrOf(0, 0, 1));
+}
+
 TEST(PolicyCacheTest, LruPromotionOnHit)
 {
     const CacheGeometry g(256, 4);

@@ -13,6 +13,7 @@
 #include "policy/lru.hpp"
 #include "policy/min.hpp"
 #include "policy/srrip.hpp"
+#include "util/logging.hpp"
 
 namespace mrp::cache {
 namespace {
@@ -26,6 +27,13 @@ make(bool prefetch = false, unsigned cores = 1)
     const CacheGeometry g(cfg.llcBytes, cfg.llcWays);
     return std::make_unique<Hierarchy>(
         cfg, std::make_unique<policy::LruPolicy>(g));
+}
+
+TEST(HierarchyTest, CoreCountIsBounded)
+{
+    EXPECT_THROW(make(false, 0), FatalError);
+    EXPECT_THROW(make(false, HierarchyConfig::kMaxCores + 1), FatalError);
+    EXPECT_NO_THROW(make(false, HierarchyConfig::kMaxCores));
 }
 
 TEST(HierarchyTest, LatenciesPerLevel)

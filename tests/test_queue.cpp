@@ -210,7 +210,11 @@ TEST_F(QueueTest, RequestJsonRejectsBadHierarchyAsCorruptInput)
         {"l2Ways", "4294967304"}, // wraps to 8 if cast unchecked
         {"l2Bytes", "196608"},    // 3 * 64KB: non-power-of-two sets
         {"llcWays", "3"},
+        {"llcWays", "128"}, // valid geometry, but past the 64-bit WayMask
         {"llcBytes", "0"},
+        {"cores", "0"},
+        {"cores", "65"},
+        {"cores", "4294967297"}, // wraps to 1 if cast unchecked
     };
     for (const auto& [key, value] : bad) {
         SCOPED_TRACE(std::string(key) + " = " + value);
@@ -232,6 +236,12 @@ TEST_F(QueueTest, RequestJsonRejectsBadHierarchyAsCorruptInput)
                                      .hierarchy.prefetcher.streams),
                   streams);
     }
+    const auto at_bounds = requestFromJson(
+        withNumber(withNumber(j, "cores", "64"), "llcWays", "64"), "test");
+    const auto& h =
+        std::get<sim::SingleCoreConfig>(at_bounds.config).hierarchy;
+    EXPECT_EQ(h.cores, cache::HierarchyConfig::kMaxCores);
+    EXPECT_EQ(h.llcWays, 64u);
 }
 
 // --- protocol lines --------------------------------------------------
