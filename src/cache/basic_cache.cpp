@@ -62,12 +62,17 @@ BasicCache::fill(Addr addr, bool dirty)
     const std::size_t base = static_cast<std::size_t>(set) * geom_.ways();
 
     // Invalid ways have stamp 0 and valid ones at least 1, so the first
-    // minimum is the first free way, else the least recently used.
+    // minimum is the first free way, else the least recently used. The
+    // running minimum stays in a register (strict < keeps the first).
     const std::uint64_t* stamps = &stamps_[base];
     std::uint32_t way = 0;
-    for (std::uint32_t w = 1; w < geom_.ways(); ++w)
-        if (stamps[w] < stamps[way])
+    std::uint64_t oldest = stamps[0];
+    for (std::uint32_t w = 1; w < geom_.ways(); ++w) {
+        if (stamps[w] < oldest) {
+            oldest = stamps[w];
             way = w;
+        }
+    }
     const std::size_t i = base + way;
 
     VictimBlock victim;

@@ -24,11 +24,17 @@ LruPolicy::onHit(const cache::AccessInfo&, std::uint32_t set,
 std::uint32_t
 LruPolicy::victimWay(const cache::AccessInfo&, std::uint32_t set)
 {
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
+    // First minimum stamp, with the running minimum in a register.
+    const std::uint64_t* stamps =
+        &stamps_[static_cast<std::size_t>(set) * ways_];
     std::uint32_t victim = 0;
-    for (std::uint32_t w = 1; w < ways_; ++w)
-        if (stamps_[base + w] < stamps_[base + victim])
+    std::uint64_t oldest = stamps[0];
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+        if (stamps[w] < oldest) {
+            oldest = stamps[w];
             victim = w;
+        }
+    }
     return victim;
 }
 
@@ -36,13 +42,17 @@ std::uint32_t
 LruPolicy::victimWayIn(const cache::AccessInfo&, std::uint32_t set,
                        cache::WayMask mask)
 {
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
+    // Stamps never reach ~0 (the clock counts touches), so the first
+    // masked way always replaces the sentinel; an empty mask yields ways_.
+    const std::uint64_t* stamps =
+        &stamps_[static_cast<std::size_t>(set) * ways_];
     std::uint32_t victim = ways_;
+    std::uint64_t oldest = ~std::uint64_t{0};
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if ((mask >> w & 1) == 0)
-            continue;
-        if (victim == ways_ || stamps_[base + w] < stamps_[base + victim])
+        if ((mask >> w & 1) != 0 && stamps[w] < oldest) {
+            oldest = stamps[w];
             victim = w;
+        }
     }
     return victim;
 }

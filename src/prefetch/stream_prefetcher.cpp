@@ -3,12 +3,13 @@
 #include <bit>
 #include <string>
 
+#include "util/bitfield.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::prefetch {
 
 StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherConfig& cfg)
-    : cfg_(cfg)
+    : cfg_(cfg), regionShift_(log2Ceil(cfg.window))
 {
     // Checked before the table is sized from it.
     fatalIf(cfg.streams == 0 || cfg.streams > kMaxStreams,
@@ -17,14 +18,16 @@ StreamPrefetcher::StreamPrefetcher(const StreamPrefetcherConfig& cfg)
     lastBlock_.assign(cfg.streams, 0);
     head_.assign(cfg.streams, 0);
     direction_.assign(cfg.streams, 0);
-    lastUse_.assign(cfg.streams, 0);
+    reset();
 }
 
 void
 StreamPrefetcher::reset()
 {
-    lastUse_.assign(lastUse_.size(), 0);
-    useClock_ = 0;
+    free_ = ~std::uint64_t{0} >> (kMaxStreams - cfg_.streams);
+    mru_ = kNil;
+    lru_ = kNil;
+    buckets_.fill(0);
     if (tracking_)
         enableTracking(); // restart the tracked period cleanly
 }
@@ -73,10 +76,27 @@ StreamPrefetcher::coverage() const
 }
 
 void
+StreamPrefetcher::unlink(std::uint8_t s)
+{
+    const std::uint8_t p = prev_[s];
+    const std::uint8_t n = next_[s];
+    (p == kNil ? mru_ : next_[p]) = n;
+    (n == kNil ? lru_ : prev_[n]) = p;
+}
+
+void
+StreamPrefetcher::pushMru(std::uint8_t s)
+{
+    prev_[s] = kNil;
+    next_[s] = mru_;
+    (mru_ == kNil ? lru_ : prev_[mru_]) = s;
+    mru_ = s;
+}
+
+void
 StreamPrefetcher::onL1Miss(Addr addr, std::vector<Addr>& out)
 {
     const Addr blk = blockAddr(addr);
-    ++useClock_;
 
     if (tracking_) {
         ++demandMisses_;
@@ -88,37 +108,57 @@ StreamPrefetcher::onL1Miss(Addr addr, std::vector<Addr>& out)
     }
 
     // Try to match an existing stream within the window: the first live
-    // slot in slot order whose last miss is 1..window blocks away.
-    const std::size_t n = lastUse_.size();
-    std::uint64_t matches = 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    // slot in slot order whose last miss is 1..window blocks away. Only
+    // slots in the three regions around the miss can match; region r±1
+    // hashes to h ± kHashMul (mod 2^64), so one multiply serves all three.
+    const std::uint64_t h = (blk >> regionShift_) * kHashMul;
+    const std::size_t here = h >> kBucketShift; // == bucketOf(blk)
+    std::uint64_t candidates = buckets_[(h - kHashMul) >> kBucketShift] |
+                               buckets_[here] |
+                               buckets_[(h + kHashMul) >> kBucketShift];
+    std::uint8_t m = kNil;
+    for (; candidates != 0; candidates &= candidates - 1) {
+        const auto i =
+            static_cast<std::uint8_t>(std::countr_zero(candidates));
         const Addr ref = lastBlock_[i];
         const Addr delta = blk > ref ? blk - ref : ref - blk;
         // delta - 1 < window  <=>  0 < delta <= window (unsigned wrap)
-        const bool hit = (lastUse_[i] != 0) & (delta - 1 < cfg_.window);
-        matches |= static_cast<std::uint64_t>(hit) << i;
+        if (delta - 1 < cfg_.window) {
+            m = i;
+            break;
+        }
     }
 
-    if (matches == 0) {
+    if (m == kNil) {
         // Allocate a stream: the first free slot, else the LRU one.
-        std::size_t lru = 0;
-        for (std::size_t i = 1; i < n; ++i)
-            if (lastUse_[i] < lastUse_[lru])
-                lru = i;
-        lastBlock_[lru] = blk;
-        head_[lru] = blk;
-        direction_[lru] = 0;
-        lastUse_[lru] = useClock_;
+        std::uint8_t s;
+        if (free_ != 0) {
+            s = static_cast<std::uint8_t>(std::countr_zero(free_));
+            free_ &= free_ - 1;
+        } else {
+            s = lru_;
+            unlink(s);
+            buckets_[bucketOf(lastBlock_[s])] &= ~(std::uint64_t{1} << s);
+        }
+        pushMru(s);
+        buckets_[here] |= std::uint64_t{1} << s;
+        lastBlock_[s] = blk;
+        head_[s] = blk;
+        direction_[s] = 0;
         return;
     }
 
-    const auto m = static_cast<std::size_t>(std::countr_zero(matches));
-    lastUse_[m] = useClock_;
+    if (m != mru_) {
+        unlink(m);
+        pushMru(m);
+    }
     if (direction_[m] == 0) {
         // Second miss decides the direction (paper: at most two misses).
         direction_[m] = blk > lastBlock_[m] ? +1 : -1;
         head_[m] = blk;
     }
+    buckets_[bucketOf(lastBlock_[m])] &= ~(std::uint64_t{1} << m);
+    buckets_[here] |= std::uint64_t{1} << m;
     lastBlock_[m] = blk;
 
     // Keep the prefetch head ahead of the miss in the stream direction.

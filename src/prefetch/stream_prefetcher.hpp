@@ -5,17 +5,26 @@
  * its direction, then generates prefetch requests; 16 streams are
  * tracked with LRU replacement.
  *
- * The stream table is held as parallel per-slot arrays. Matching a miss
- * is one branch-free pass that builds a 64-bit mask of the slots whose
- * last miss lies within the window; its lowest set bit is the first
- * match in slot order. A slot with last-use stamp 0 is free (stamps of
- * live streams start at 1), so "first free slot, else the least
- * recently used" is one first-minimum scan over the stamps.
+ * The stream table is held as parallel per-slot arrays, and a miss
+ * costs the same whatever the stream count:
+ *  - Region index. A stream's region is its last miss block shifted
+ *    right by log2Ceil(window), so a region spans at least `window`
+ *    blocks and a stream that matches a miss in region r lies in region
+ *    r-1, r or r+1. A small power-of-two table of 64-bit slot masks,
+ *    hashed by region, yields the candidates: the OR of those three
+ *    buckets. Candidates are checked exactly in slot order, so the
+ *    lowest-indexed true match wins; a hash collision only adds
+ *    candidates that the exact check drops.
+ *  - Recency list. Live streams sit in a doubly linked MRU-to-LRU list
+ *    of slot ids next to a mask of free slots, so "first free slot,
+ *    else the least recently used" is the mask's lowest set bit, else
+ *    the list tail.
  */
 
 #ifndef MRP_PREFETCH_STREAM_PREFETCHER_HPP
 #define MRP_PREFETCH_STREAM_PREFETCHER_HPP
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -91,13 +100,38 @@ class StreamPrefetcher
     static constexpr std::size_t kFilterSlots = 4096;
     static constexpr Addr kNoBlock = ~Addr{0};
 
+    /** Region buckets (a power of two, twice kMaxStreams). */
+    static constexpr unsigned kBucketBits = 7;
+    /** Fibonacci hash: a region's bucket is the top kBucketBits bits of
+     * region * kHashMul. */
+    static constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ull;
+    static constexpr unsigned kBucketShift = 64 - kBucketBits;
+    /** End-of-list marker in the recency links. */
+    static constexpr std::uint8_t kNil = 0xff;
+
+    /** Bucket of the region holding block @p blk. */
+    std::size_t bucketOf(Addr blk) const
+    {
+        return ((blk >> regionShift_) * kHashMul) >> kBucketShift;
+    }
+    /** Unlink live slot @p s from the recency list. */
+    void unlink(std::uint8_t s);
+    /** Insert slot @p s at the MRU end of the recency list. */
+    void pushMru(std::uint8_t s);
+
     StreamPrefetcherConfig cfg_;
+    unsigned regionShift_; //!< log2Ceil(window)
     // One entry per stream slot.
-    std::vector<Addr> lastBlock_;        //!< most recent matched miss
-    std::vector<Addr> head_;             //!< last block prefetched
-    std::vector<int> direction_;         //!< 0 until confirmed, else ±1
-    std::vector<std::uint64_t> lastUse_; //!< 0 marks a free slot
-    std::uint64_t useClock_ = 0;
+    std::vector<Addr> lastBlock_; //!< most recent matched miss
+    std::vector<Addr> head_;      //!< last block prefetched
+    std::vector<int> direction_;  //!< 0 until confirmed, else ±1
+    std::array<std::uint8_t, kMaxStreams> prev_{}; //!< toward MRU
+    std::array<std::uint8_t, kMaxStreams> next_{}; //!< toward LRU
+    std::uint8_t mru_ = kNil;
+    std::uint8_t lru_ = kNil;
+    std::uint64_t free_ = 0; //!< bit i set: slot i holds no stream
+    /** Bit i of bucket b set: live slot i's region hashes to b. */
+    std::array<std::uint64_t, std::size_t{1} << kBucketBits> buckets_{};
     std::uint64_t issued_ = 0;
     bool tracking_ = false;
     std::vector<Addr> filter_; //!< empty until enableTracking

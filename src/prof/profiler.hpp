@@ -96,8 +96,12 @@ const PhaseStat* findPhase(const PhaseStat& root, std::string_view label);
 class Profiler;
 
 namespace detail {
-/** The thread's attached profiler (managed by Attach). */
-extern thread_local Profiler* tlsProfiler;
+/**
+ * The thread's attached profiler (managed by Attach). constinit lets
+ * other translation units read it directly, without the TLS init
+ * wrapper call that a dynamically initialized thread_local needs.
+ */
+extern constinit thread_local Profiler* tlsProfiler;
 } // namespace detail
 
 class Profiler

@@ -1,15 +1,20 @@
 /**
  * @file
- * Tests for the recency-based baseline policies: LRU ranks, SRRIP,
- * DRRIP set-dueling, tree-PLRU positional placement, and MDPP.
+ * Tests for the recency-based baseline policies: LRU ranks and victim
+ * choice against a naive model, SRRIP, DRRIP set-dueling, tree-PLRU
+ * positional placement, and MDPP.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "cache/policy_cache.hpp"
 #include "policy/lru.hpp"
 #include "policy/srrip.hpp"
 #include "policy/tree_plru.hpp"
+#include "util/rng.hpp"
 
 namespace mrp::policy {
 namespace {
@@ -38,6 +43,62 @@ TEST(LruPolicyTest, RanksFollowTouchOrder)
     lru.onHit(info, 0, 0);
     EXPECT_EQ(lru.rankOf(0, 0), 0u);
     EXPECT_EQ(lru.victimWay(info, 0), 1u);
+}
+
+TEST(LruPolicyTest, VictimsMatchNaiveFirstMinimum)
+{
+    // The naive model stamps a way on every hit or fill and picks the
+    // first way with the smallest stamp among those allowed. Untouched
+    // ways tie at stamp 0, so the lowest of them must win.
+    const std::uint32_t sets = 4;
+    for (const std::uint32_t ways : {1u, 2u, 3u, 8u, 16u, 64u}) {
+        SCOPED_TRACE("ways " + std::to_string(ways));
+        const cache::CacheGeometry g(Addr{sets} * ways * kBlockBytes,
+                                     ways);
+        LruPolicy lru(g);
+        std::vector<std::uint64_t> stamps(sets * ways, 0);
+        std::uint64_t clock = 0;
+        const auto naive = [&](std::uint32_t set, cache::WayMask mask) {
+            std::uint32_t victim = ways;
+            for (std::uint32_t w = 0; w < ways; ++w) {
+                if ((mask >> w & 1) == 0)
+                    continue;
+                if (victim == ways ||
+                    stamps[set * ways + w] < stamps[set * ways + victim])
+                    victim = w;
+            }
+            return victim;
+        };
+        Rng rng(ways);
+        const cache::AccessInfo info = demand(0);
+        const cache::WayMask all = cache::fullWayMask(ways);
+        for (int step = 0; step < 20000; ++step) {
+            const auto set = static_cast<std::uint32_t>(rng.below(sets));
+            // Dense, sparse and single-way masks; never empty.
+            cache::WayMask mask = rng.next() & all;
+            if (rng.below(2) == 0)
+                mask &= rng.next();
+            if (mask == 0)
+                mask = cache::WayMask{1} << rng.below(ways);
+            const std::uint32_t victim = lru.victimWay(info, set);
+            ASSERT_EQ(victim, naive(set, all)) << "step " << step;
+            const std::uint32_t masked = lru.victimWayIn(info, set, mask);
+            ASSERT_EQ(masked, naive(set, mask)) << "step " << step;
+            // Fill the victim (as a cache would), or hit any way.
+            const std::uint64_t pick = rng.below(4);
+            if (pick == 0) {
+                lru.onFill(info, set, victim);
+                stamps[set * ways + victim] = ++clock;
+            } else if (pick == 1) {
+                lru.onFill(info, set, masked);
+                stamps[set * ways + masked] = ++clock;
+            } else {
+                const auto way = static_cast<std::uint32_t>(rng.below(ways));
+                lru.onHit(info, set, way);
+                stamps[set * ways + way] = ++clock;
+            }
+        }
+    }
 }
 
 TEST(SrripTest, InsertionAndPromotion)

@@ -368,78 +368,128 @@ class ReferenceStreamPrefetcher
     std::uint64_t late_ = 0;
 };
 
+/** Where a differential run places its streams and random misses. */
+struct MissLayout
+{
+    const char* name;
+    Addr walkBase; //!< streams start in [walkBase, walkBase + walkSpan)
+    Addr walkSpan;
+    Addr randBase; //!< random misses land in [randBase, randBase + randSpan)
+    Addr randSpan;
+};
+
+/** Largest block address: byte addresses are 64 bits. */
+constexpr Addr kTopBlock = ~Addr{0} >> kBlockShift;
+
+/**
+ * Drive StreamPrefetcher and the reference with the same 20,000 misses
+ * (with a reset() midway) and require identical prefetches and counters.
+ * Block addresses wrap modulo 2^58, as blockAddr() does.
+ */
+void
+expectMatchesReference(const StreamPrefetcherConfig& cfg, bool tracking,
+                       std::uint64_t seed, const MissLayout& layout)
+{
+    SCOPED_TRACE("streams " + std::to_string(cfg.streams) + " window " +
+                 std::to_string(cfg.window) + " layout " + layout.name +
+                 " tracking " + std::to_string(tracking) + " seed " +
+                 std::to_string(seed));
+    StreamPrefetcher dut(cfg);
+    ReferenceStreamPrefetcher ref(cfg);
+    if (tracking) {
+        dut.enableTracking();
+        ref.enableTracking();
+    }
+    Rng rng(seed);
+    // Live strided streams, some ascending, some descending, a few more
+    // than the table holds so LRU replacement runs; random misses land
+    // anywhere (including near a stream, where they perturb its
+    // direction).
+    struct Walk
+    {
+        Addr at;
+        std::int64_t stride;
+    };
+    std::vector<Walk> walks(cfg.streams + 4);
+    for (auto& w : walks) {
+        w.at = layout.walkBase + rng.below(layout.walkSpan);
+        w.stride = static_cast<std::int64_t>(rng.range(1, 3)) *
+                   (rng.below(2) == 0 ? 1 : -1);
+    }
+    std::vector<Addr> got, want;
+    for (int step = 0; step < 20000; ++step) {
+        Addr blk;
+        const std::uint64_t pick = rng.below(10);
+        if (pick < 7) {
+            Walk& w = walks[rng.below(walks.size())];
+            w.at = static_cast<Addr>(static_cast<std::int64_t>(w.at) +
+                                     w.stride) &
+                   kTopBlock;
+            blk = w.at;
+        } else if (pick < 9) {
+            blk = layout.randBase + rng.below(layout.randSpan);
+        } else {
+            const Addr near = walks[rng.below(walks.size())].at;
+            blk = (near + rng.below(40) - 20) & kTopBlock;
+        }
+        got.clear();
+        want.clear();
+        dut.onL1Miss(blk << kBlockShift, got);
+        ref.onL1Miss(blk << kBlockShift, want);
+        ASSERT_EQ(got, want) << "step " << step;
+        // Demand hits on some of what was just prefetched.
+        for (const Addr a : got) {
+            if (rng.below(2) == 0) {
+                dut.observeDemandHit(a);
+                ref.observeDemandHit(a);
+            }
+        }
+        if (step == 12345) {
+            dut.reset();
+            ref.reset();
+        }
+    }
+    EXPECT_EQ(dut.issued(), ref.issued());
+    EXPECT_EQ(dut.trackedIssued(), ref.trackedIssued());
+    EXPECT_EQ(dut.useful(), ref.useful());
+    EXPECT_EQ(dut.late(), ref.late());
+    if (cfg.window == 0) {
+        EXPECT_EQ(dut.issued(), 0u); // no miss is ever in the window
+        return;
+    }
+    EXPECT_GT(dut.issued(), 0u);
+    if (tracking) {
+        EXPECT_GT(dut.useful(), 0u);
+        EXPECT_GT(dut.late(), 0u);
+    }
+}
+
 TEST(StreamPrefetcherTest, MatchesArrayOfStructsReference)
 {
-    for (const unsigned streams : {1u, 3u, 16u, 64u}) {
-        for (const bool tracking : {false, true}) {
-            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-                SCOPED_TRACE("streams " + std::to_string(streams) +
-                             " tracking " + std::to_string(tracking) +
-                             " seed " + std::to_string(seed));
-                StreamPrefetcherConfig cfg;
-                cfg.streams = streams;
-                StreamPrefetcher dut(cfg);
-                ReferenceStreamPrefetcher ref(cfg);
-                if (tracking) {
-                    dut.enableTracking();
-                    ref.enableTracking();
-                }
-                Rng rng(seed);
-                // Live strided streams, some ascending, some descending,
-                // a few more than the table holds so LRU replacement
-                // runs; random misses land anywhere (including near a
-                // stream, where they perturb its direction).
-                struct Walk
-                {
-                    Addr at;
-                    std::int64_t stride;
-                };
-                std::vector<Walk> walks(streams + 4);
-                for (auto& w : walks) {
-                    w.at = (1u << 20) + rng.below(1u << 24);
-                    w.stride = static_cast<std::int64_t>(rng.range(1, 3)) *
-                               (rng.below(2) == 0 ? 1 : -1);
-                }
-                std::vector<Addr> got, want;
-                for (int step = 0; step < 20000; ++step) {
-                    Addr blk;
-                    const std::uint64_t pick = rng.below(10);
-                    if (pick < 7) {
-                        Walk& w = walks[rng.below(walks.size())];
-                        w.at = static_cast<Addr>(
-                            static_cast<std::int64_t>(w.at) + w.stride);
-                        blk = w.at;
-                    } else if (pick < 9) {
-                        blk = rng.below(1u << 26);
-                    } else {
-                        const Addr near = walks[rng.below(walks.size())].at;
-                        blk = near + rng.below(40) - 20;
+    // Mid-range addresses, far from either end of the block space.
+    const MissLayout mid{"mid", Addr{1} << 20, Addr{1} << 24, 0,
+                         Addr{1} << 26};
+    // Streams a few thousand blocks from 0 or from the top block, so
+    // descending ones cross 0 and ascending ones cross the top: the
+    // region index's r-1 and r+1 neighbours wrap there.
+    const MissLayout low{"low", 0, Addr{1} << 12, 0, Addr{1} << 14};
+    const MissLayout high{"high", kTopBlock - (Addr{1} << 12) + 1,
+                          Addr{1} << 12, kTopBlock - (Addr{1} << 14) + 1,
+                          Addr{1} << 14};
+    for (const unsigned window : {0u, 1u, 5u, 16u, 17u, 1000u}) {
+        for (const MissLayout* layout : {&mid, &low, &high}) {
+            // The default window in mid-range gets three seeds.
+            const std::uint64_t seeds =
+                window == 16 && layout == &mid ? 3 : 1;
+            for (const unsigned streams : {1u, 3u, 16u, 64u}) {
+                for (const bool tracking : {false, true}) {
+                    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+                        StreamPrefetcherConfig cfg;
+                        cfg.streams = streams;
+                        cfg.window = window;
+                        expectMatchesReference(cfg, tracking, seed,
+                                               *layout);
                     }
-                    got.clear();
-                    want.clear();
-                    dut.onL1Miss(blk << kBlockShift, got);
-                    ref.onL1Miss(blk << kBlockShift, want);
-                    ASSERT_EQ(got, want) << "step " << step;
-                    // Demand hits on some of what was just prefetched.
-                    for (const Addr a : got) {
-                        if (rng.below(2) == 0) {
-                            dut.observeDemandHit(a);
-                            ref.observeDemandHit(a);
-                        }
-                    }
-                    if (step == 12345) {
-                        dut.reset();
-                        ref.reset();
-                    }
-                }
-                EXPECT_EQ(dut.issued(), ref.issued());
-                EXPECT_EQ(dut.trackedIssued(), ref.trackedIssued());
-                EXPECT_EQ(dut.useful(), ref.useful());
-                EXPECT_EQ(dut.late(), ref.late());
-                EXPECT_GT(dut.issued(), 0u);
-                if (tracking) {
-                    EXPECT_GT(dut.useful(), 0u);
-                    EXPECT_GT(dut.late(), 0u);
                 }
             }
         }
