@@ -143,6 +143,15 @@ class CompiledFeature
     std::uint32_t weightOffset() const { return weightOffset_; }
     std::uint32_t tableSize() const { return tableMask_ + 1; }
 
+    /** True if @p o computes the same index for every access. */
+    bool
+    sameIndex(const CompiledFeature& o) const
+    {
+        return mask_ == o.mask_ && xorMask_ == o.xorMask_ &&
+               tableMask_ == o.tableMask_ && slot_ == o.slot_ &&
+               shift_ == o.shift_;
+    }
+
     /** The history depth W this feature reads, or 0 for none. */
     unsigned
     historyDepth() const

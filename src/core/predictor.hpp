@@ -5,7 +5,9 @@
  * A hashed-perceptron organization: each of up to 16 parameterized
  * features indexes its own table of 6-bit weights; the selected
  * weights are summed into a 9-bit confidence (positive = predicted
- * dead). Training uses an 18-way true-LRU sampler of partial tags.
+ * dead). Features that compute the same index share one table of
+ * pre-summed weights, so a prediction loads one sum per distinct index
+ * function. Training uses an 18-way true-LRU sampler of partial tags.
  * Unlike prior work, each feature has its own associativity A: a hit
  * at LRU position p trains "live" only in tables with p < A, and a
  * block demoted exactly to position A is trained "dead" in that
@@ -80,6 +82,24 @@ class MultiperspectivePredictor : public policy::ReusePredictor
     using FeatureMask = std::uint32_t; //!< bit f stands for feature f
     static_assert(kMaxFeatures <= 32);
 
+    /** Slot of the (burst, insert, lastmiss) flag word, bits 0..2. */
+    static constexpr std::uint8_t kFlagSlot = kMaxFeatures;
+    static constexpr unsigned kFlagWords = 8;
+
+    /**
+     * Where a feature's weight is summed: its index is
+     * (group index >> shift) & mask. A flag member (un-xored bias,
+     * burst, insert or lastmiss) reads one bit of the flag word, or
+     * none, and its weight is in every flag-table entry that bit
+     * selects; any other member owns one entry of its group's table.
+     */
+    struct Member
+    {
+        std::uint8_t group = kFlagSlot;
+        std::uint8_t shift = 0;
+        std::uint8_t mask = 0xff;
+    };
+
     struct SamplerEntry
     {
         std::uint16_t tag = 0;
@@ -87,11 +107,13 @@ class MultiperspectivePredictor : public policy::ReusePredictor
         IndexVec indices{};
     };
 
-    /** One sampler set: entries [0, count) in true-LRU order, MRU
-     * first. It holds at most samplerAssoc entries. */
+    /** One sampler set: entries stay in their slots, and order[0,
+     * count) lists the occupied slots in true-LRU order, MRU first.
+     * It holds at most samplerAssoc entries. */
     struct SamplerSet
     {
         std::array<SamplerEntry, kMaxFeatureAssoc> entries;
+        std::array<std::uint8_t, kMaxFeatureAssoc> order{};
         std::uint8_t count = 0;
     };
 
@@ -107,6 +129,7 @@ class MultiperspectivePredictor : public policy::ReusePredictor
     {
         return weights_[features_[feature].weightOffset() + index];
     }
+    void nudge(std::size_t feature, std::uint8_t index, int step);
     void train(FeatureMask features, const IndexVec& idx, bool dead);
     void trainDemotions(const SamplerSet& sset, std::size_t count);
     void samplerAccess(const cache::AccessInfo& info, std::uint32_t set,
@@ -118,6 +141,14 @@ class MultiperspectivePredictor : public policy::ReusePredictor
     std::vector<CompiledFeature> features_;
     std::vector<std::uint8_t> historyDepths_; //!< distinct W > 0 in use
     std::vector<std::int8_t> weights_; //!< every feature's table, flat
+    std::vector<Member> members_;      //!< per feature
+    /** One per distinct index function outside the flag word; its
+     * weight offset points into sums_. */
+    std::vector<CompiledFeature> groups_;
+    /** The flag table (kFlagWords entries), then each group's table.
+     * Invariant: every entry equals the sum of the member weights it
+     * stands for. */
+    std::vector<std::int16_t> sums_;
     /** liveAt_[p]: features with p < A, trained live by a hit at p. */
     std::array<FeatureMask, kMaxFeatureAssoc> liveAt_{};
     /** deadAt_[p]: features with A == p, trained dead by a demotion

@@ -1,5 +1,7 @@
 #include "queue/wire.hpp"
 
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/json_writer.hpp"
@@ -13,24 +15,50 @@ using json::Value;
 
 // --- require helpers over the generic JSON tree ---------------------
 
+/**
+ * @p n as a whole number in [lo, hi], else CorruptInput: casting a
+ * NaN, infinite or out-of-range double to an integer type is
+ * undefined behaviour, and a fraction is not a count.
+ */
+double
+wholeNumber(const Value& n, double lo, double hi, std::string_view name,
+            const std::string& what)
+{
+    fatalIf(!n.isNumber() || !(n.number >= lo && n.number <= hi) ||
+                n.number != std::trunc(n.number),
+            ErrorCode::CorruptInput,
+            what + ": " + std::string(name) +
+                " must be a whole number in [" + json::formatDouble(lo) +
+                ", " + json::formatDouble(hi) + "]");
+    return n.number;
+}
+
+double
+reqWhole(const Value& v, std::string_view key, const std::string& what,
+         double lo, double hi)
+{
+    return wholeNumber(v.require(key, Value::Type::Number, what), lo, hi,
+                       key, what);
+}
+
 std::uint64_t
 reqU64(const Value& v, std::string_view key, const std::string& what)
 {
-    return v.require(key, Value::Type::Number, what).asU64();
+    return static_cast<std::uint64_t>(
+        reqWhole(v, key, what, 0, std::nextafter(0x1p64, 0.0)));
 }
 
 int
 reqInt(const Value& v, std::string_view key, const std::string& what)
 {
-    return static_cast<int>(
-        v.require(key, Value::Type::Number, what).number);
+    return static_cast<int>(reqWhole(v, key, what, INT_MIN, INT_MAX));
 }
 
 unsigned
 reqUnsigned(const Value& v, std::string_view key,
             const std::string& what)
 {
-    return static_cast<unsigned>(reqU64(v, key, what));
+    return static_cast<unsigned>(reqWhole(v, key, what, 0, UINT_MAX));
 }
 
 double
@@ -131,12 +159,15 @@ mpppbFromJson(const Value& v, const std::string& what)
         c.predictor.features.push_back(
             core::FeatureSpec::parse(f.string));
     }
-    c.predictor.sampledSetsPerCore = static_cast<std::uint32_t>(
-        reqU64(v, "sampledSetsPerCore", what));
-    c.predictor.samplerAssoc =
-        static_cast<std::uint32_t>(reqU64(v, "samplerAssoc", what));
-    c.predictor.weightBits = reqUnsigned(v, "weightBits", what);
-    c.predictor.confidenceClamp = reqInt(v, "confidenceClamp", what);
+    c.predictor.sampledSetsPerCore =
+        reqUnsigned(v, "sampledSetsPerCore", what);
+    c.predictor.samplerAssoc = reqUnsigned(v, "samplerAssoc", what);
+    // The predictor's own bounds, so a bad payload is corrupt input
+    // rather than a configuration error in the worker.
+    c.predictor.weightBits =
+        static_cast<unsigned>(reqWhole(v, "weightBits", what, 1, 8));
+    c.predictor.confidenceClamp = static_cast<int>(
+        reqWhole(v, "confidenceClamp", what, 0, INT_MAX));
     c.predictor.trainingThreshold =
         reqInt(v, "trainingThreshold", what);
     const std::string& sub = reqStr(v, "substrate", what);
@@ -154,19 +185,18 @@ mpppbFromJson(const Value& v, const std::string& what)
             ErrorCode::CorruptInput,
             what + ": tau and pi must each have 3 entries");
     for (std::size_t i = 0; i < 3; ++i) {
-        c.thresholds.tau[i] = static_cast<int>(tau[i].number);
-        c.thresholds.pi[i] =
-            static_cast<std::uint32_t>(pi[i].number);
+        c.thresholds.tau[i] = static_cast<int>(
+            wholeNumber(tau[i], INT_MIN, INT_MAX, "tau", what));
+        c.thresholds.pi[i] = static_cast<std::uint32_t>(
+            wholeNumber(pi[i], 0, UINT32_MAX, "pi", what));
     }
     c.thresholds.tauNoPromote = reqInt(v, "tauNoPromote", what);
     c.bypassEnabled = reqBool(v, "bypassEnabled", what);
     c.dynamicBypass = reqBool(v, "dynamicBypass", what);
     c.duelingPeriod = reqUnsigned(v, "duelingPeriod", what);
     c.pselBits = reqUnsigned(v, "pselBits", what);
-    c.mdpp.insertPos =
-        static_cast<std::uint32_t>(reqU64(v, "mdppInsertPos", what));
-    c.mdpp.promotePos =
-        static_cast<std::uint32_t>(reqU64(v, "mdppPromotePos", what));
+    c.mdpp.insertPos = reqUnsigned(v, "mdppInsertPos", what);
+    c.mdpp.promotePos = reqUnsigned(v, "mdppPromotePos", what);
     c.srrip.bits = reqUnsigned(v, "srripBits", what);
     c.srrip.insertRrpv = reqUnsigned(v, "srripInsertRrpv", what);
     c.srrip.hitRrpv = reqUnsigned(v, "srripHitRrpv", what);

@@ -70,6 +70,29 @@ TEST(PredictorConfigTest, Validation)
     cfg.samplerAssoc = 18;
     cfg.features = {FeatureSpec::parse("pc(16,0,16,19,0)")}; // W > 18
     EXPECT_THROW(MultiperspectivePredictor(geom(), 1, cfg), FatalError);
+    cfg.features = featureSetTable1A();
+    // Weights are int8_t: 0 bits is a negative shift, 9 would wrap.
+    for (const unsigned bits : {0u, 9u, 32u}) {
+        cfg.weightBits = bits;
+        EXPECT_THROW(MultiperspectivePredictor(geom(), 1, cfg), FatalError)
+            << bits;
+    }
+    cfg.weightBits = 6;
+    cfg.confidenceClamp = -1; // std::clamp needs lo <= hi
+    EXPECT_THROW(MultiperspectivePredictor(geom(), 1, cfg), FatalError);
+    cfg.confidenceClamp = 0;
+    EXPECT_NO_THROW(MultiperspectivePredictor(geom(), 1, cfg));
+}
+
+TEST(PredictorConfigTest, SampledSetCountDoesNotWrap)
+{
+    // 2 x (2^31 + 32) wraps to 64 in 32 bits; computed in 64 bits it
+    // exceeds the 2048 LLC sets, so every set is sampled.
+    auto cfg = smallConfig({FeatureSpec::parse("bias(18,1)")});
+    cfg.sampledSetsPerCore = 0x80000020u;
+    MultiperspectivePredictor pred(geom(), 2, cfg);
+    trainDeadStream(pred, 0x400000, 1, 10);
+    EXPECT_EQ(pred.trainingEvents(), 10u);
 }
 
 TEST(PredictorConfigTest, TotalWeightsMatchTableSizes)
@@ -275,6 +298,7 @@ class ReferencePredictor
     {
         for (const auto& f : cfg.features)
             tables_.emplace_back(f.tableSize(), 0);
+        weightSums_.assign(cfg.features.size(), 0);
     }
 
     int
@@ -295,9 +319,11 @@ class ReferencePredictor
         for (std::size_t f = 0; f < cfg_.features.size(); ++f) {
             idx.push_back(referenceIndex(cfg_.features[f], in));
             sum += tables_[f][idx[f]];
+            weightSums_[f] += tables_[f][idx[f]];
         }
         const int conf = std::clamp(sum, -cfg_.confidenceClamp - 1,
                                     cfg_.confidenceClamp);
+        (hit ? confidenceHitSum_ : confidenceMissSum_) += conf;
         if (set % ratio_ == 0)
             sample(samplers_[set],
                    policy::SetSampling::partialTag(info.addr), idx, conf);
@@ -307,6 +333,13 @@ class ReferencePredictor
     }
 
     std::uint64_t trainingEvents() const { return events_; }
+
+    /** What the predictor's telemetry histograms sum: each feature's
+     * selected weight, and the confidence on hits and on misses, over
+     * every predicted access. */
+    std::int64_t weightSum(std::size_t f) const { return weightSums_[f]; }
+    std::int64_t confidenceHitSum() const { return confidenceHitSum_; }
+    std::int64_t confidenceMissSum() const { return confidenceMissSum_; }
 
     double
     meanAbsWeight(std::size_t f) const
@@ -380,6 +413,9 @@ class ReferencePredictor
     std::vector<bool> lastMiss_;
     std::vector<Addr> lastBlock_;
     std::uint64_t events_ = 0;
+    std::vector<std::int64_t> weightSums_;
+    std::int64_t confidenceHitSum_ = 0;
+    std::int64_t confidenceMissSum_ = 0;
 };
 
 /** A PC from a small pool that includes PCs with high bits set. */
@@ -398,11 +434,15 @@ randomPc(Rng& rng)
  */
 void
 expectMatchesReference(const MultiperspectiveConfig& cfg,
-                       std::uint64_t seed, int accesses)
+                       std::uint64_t seed, int accesses,
+                       bool with_telemetry = false)
 {
     const cache::CacheGeometry llc(256 * 1024, 16); // 256 sets
     MultiperspectivePredictor pred(llc, 1, cfg);
     ReferencePredictor ref(llc, cfg);
+    telemetry::MetricsRegistry registry;
+    if (with_telemetry)
+        pred.attachTelemetry(registry);
     cache::CoreContext ctx;
     Rng rng(seed);
     for (int i = 0; i < accesses; ++i) {
@@ -432,6 +472,20 @@ expectMatchesReference(const MultiperspectiveConfig& cfg,
     for (std::size_t f = 0; f < cfg.features.size(); ++f)
         EXPECT_EQ(pred.meanAbsWeight(f), ref.meanAbsWeight(f))
             << cfg.features[f].toString();
+    if (!with_telemetry)
+        return;
+    // Every predicted access recorded each feature's own weight.
+    for (std::size_t f = 0; f < cfg.features.size(); ++f) {
+        const std::string name = "predictor.feature." +
+                                 std::string(f < 10 ? "0" : "") +
+                                 std::to_string(f) + ".weight";
+        EXPECT_EQ(registry.histogram(name, {}).sum(), ref.weightSum(f))
+            << cfg.features[f].toString();
+    }
+    EXPECT_EQ(registry.histogram("predictor.confidence.hit", {}).sum(),
+              ref.confidenceHitSum());
+    EXPECT_EQ(registry.histogram("predictor.confidence.miss", {}).sum(),
+              ref.confidenceMissSum());
 }
 
 TEST(PredictorReferenceTest, FeatureIndexMatchesReference)
@@ -483,6 +537,74 @@ TEST(PredictorReferenceTest, EdgeCaseParameters)
         FeatureSpec::parse("lastmiss(18,0)"),
     });
     expectMatchesReference(cfg, 13, 60000);
+}
+
+TEST(PredictorReferenceTest, DuplicateIndexFunctions)
+{
+    // Features that compute the same index share one table of sums:
+    // the same feature at different A, reversed B/E, duplicated
+    // xored flags, and offsets with E > 5 (a wider value mask, the
+    // same 64-entry index).
+    const auto cfg = smallConfig({
+        FeatureSpec::parse("pc(17,6,20,0,1)"),
+        FeatureSpec::parse("pc(3,6,20,0,1)"),
+        FeatureSpec::parse("pc(9,20,6,0,1)"),
+        FeatureSpec::parse("pc(1,6,20,0,0)"),
+        FeatureSpec::parse("address(10,12,25,0)"),
+        FeatureSpec::parse("address(4,25,12,0)"),
+        FeatureSpec::parse("offset(3,2,66,0)"),
+        FeatureSpec::parse("offset(12,2,9,0)"),
+        FeatureSpec::parse("offset(6,2,66,0)"),
+        FeatureSpec::parse("insert(16,1)"),
+        FeatureSpec::parse("insert(17,1)"),
+        FeatureSpec::parse("insert(8,1)"),
+        FeatureSpec::parse("bias(5,1)"),
+        FeatureSpec::parse("bias(18,1)"),
+        FeatureSpec::parse("burst(2,1)"),
+        FeatureSpec::parse("burst(11,1)"),
+    });
+    expectMatchesReference(cfg, 17, 60000);
+}
+
+TEST(PredictorReferenceTest, FlagFeatures)
+{
+    // Without X every one of these folds into the one 8-entry flag
+    // table; with X none does.
+    for (const bool x : {false, true}) {
+        const std::string b = x ? "1)" : "0)";
+        std::vector<FeatureSpec> set;
+        for (const char* f : {"bias(16,", "bias(3,", "burst(6,",
+                              "burst(18,", "insert(16,", "insert(1,",
+                              "lastmiss(9,", "lastmiss(2,"})
+            set.push_back(FeatureSpec::parse(f + b));
+        SCOPED_TRACE(formatFeatureSet(set));
+        expectMatchesReference(smallConfig(set), 19, 60000);
+    }
+}
+
+TEST(PredictorReferenceTest, WeightWidthsSaturateTheSums)
+{
+    // Narrow weights saturate within a few training events; wide ones
+    // let the sums pass the confidence clamp.
+    for (unsigned bits = 1; bits <= 8; ++bits) {
+        for (const auto& set : {featureSetTable1A(), featureSetTable2()}) {
+            auto cfg = smallConfig(set);
+            cfg.weightBits = bits;
+            cfg.trainingThreshold = bits >= 7 ? 1000 : 70;
+            SCOPED_TRACE("weightBits " + std::to_string(bits));
+            expectMatchesReference(cfg, 23 + bits, 20000);
+        }
+    }
+}
+
+TEST(PredictorReferenceTest, TelemetryRecordsEachFeaturesWeight)
+{
+    auto cfg = smallConfig(featureSetTable1A());
+    expectMatchesReference(cfg, 29, 30000, /*with_telemetry=*/true);
+    cfg.features.push_back(FeatureSpec::parse("offset(4,2,66,0)"));
+    cfg.features.push_back(FeatureSpec::parse("bias(2,0)"));
+    cfg.confidenceClamp = 0;
+    expectMatchesReference(cfg, 31, 30000, /*with_telemetry=*/true);
 }
 
 TEST(PredictorReferenceTest, RandomFeatureSets)

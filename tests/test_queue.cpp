@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -242,6 +243,75 @@ TEST_F(QueueTest, RequestJsonRejectsBadHierarchyAsCorruptInput)
         std::get<sim::SingleCoreConfig>(at_bounds.config).hierarchy;
     EXPECT_EQ(h.cores, cache::HierarchyConfig::kMaxCores);
     EXPECT_EQ(h.llcWays, 64u);
+}
+
+/** @p j with the first occurrence of @p from replaced by @p to. */
+std::string
+withText(std::string j, const std::string& from, const std::string& to)
+{
+    const auto at = j.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at == std::string::npos)
+        return j;
+    return j.replace(at, from.size(), to);
+}
+
+TEST_F(QueueTest, RequestJsonRejectsBadNumbersAsCorruptInput)
+{
+    core::MpppbConfig mc;
+    mc.thresholds.tau = {10, 20, 30};
+    mc.thresholds.pi = {1, 2, 3};
+    auto req = suiteRequest(2);
+    req.policy = runner::PolicySpec::mpppb(mc);
+    const std::string j = requestJson(req);
+    const std::string tau = "\"tau\": [10, ";
+    const std::string pi = "\"pi\": [1, ";
+    const std::string bad[] = {
+        // Casting these to an integer unchecked is undefined.
+        withNumber(j, "cores", "-1"),
+        withNumber(j, "cores", "1e999"),
+        withText(j, "\"seed\": 5}", "\"seed\": 18446744073709551616}"),
+        withNumber(j, "l1Latency", "-3"),
+        withNumber(j, "duelingPeriod", "4294967296"),
+        // A count is whole.
+        withNumber(j, "cores", "1.5"),
+        withNumber(j, "samplerAssoc", "16.25"),
+        // Array elements are checked numbers too.
+        withText(j, pi, "\"pi\": [\"x\", "),
+        withText(j, pi, "\"pi\": [-1, "),
+        withText(j, tau, "\"tau\": [null, "),
+        withText(j, tau, "\"tau\": [2147483648, "),
+        // Used to be truncated to 32 bits.
+        withNumber(j, "sampledSetsPerCore", "4294967360"),
+        // Outside what the predictor accepts.
+        withNumber(j, "weightBits", "0"),
+        withNumber(j, "weightBits", "9"),
+        withText(j, "\"confidenceClamp\": 255", "\"confidenceClamp\": -1"),
+    };
+    for (const std::string& tampered : bad) {
+        SCOPED_TRACE(tampered);
+        ASSERT_NE(tampered, j);
+        try {
+            requestFromJson(tampered, "test");
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::CorruptInput) << e.what();
+        }
+    }
+    // The bounds themselves, and negative values where a field is
+    // signed, are accepted.
+    const auto back = requestFromJson(
+        withText(withNumber(withNumber(j, "weightBits", "8"),
+                            "confidenceClamp", "0"),
+                 tau, "\"tau\": [-2147483648, "),
+        "test");
+    ASSERT_NE(back.policy.mpppbConfig, nullptr);
+    EXPECT_EQ(back.policy.mpppbConfig->predictor.weightBits, 8u);
+    EXPECT_EQ(back.policy.mpppbConfig->predictor.confidenceClamp, 0);
+    EXPECT_EQ(back.policy.mpppbConfig->thresholds.tau[0], INT_MIN);
+    EXPECT_EQ(requestFromJson(withNumber(j, "weightBits", "1"), "test")
+                  .policy.mpppbConfig->predictor.weightBits,
+              1u);
 }
 
 // --- protocol lines --------------------------------------------------

@@ -44,6 +44,10 @@ TEST(SetSamplingTest, RejectsInvalidShapes)
     EXPECT_THROW(policy::SetSampling(2048, 0), FatalError);
     EXPECT_THROW(policy::SetSampling(64, 128), FatalError);
     EXPECT_THROW(policy::SetSampling(100, 33), FatalError);
+    // 32 divides 96, but every third set is no mask.
+    EXPECT_THROW(policy::SetSampling(96, 32), FatalError);
+    EXPECT_NO_THROW(policy::SetSampling(96, 3));
+    EXPECT_NO_THROW(policy::SetSampling(96, 96));
 }
 
 TEST(SetSamplingTest, PanicsOnUnsampledLookup)
