@@ -50,6 +50,22 @@ multiCoreMpppbConfig()
     return cfg;
 }
 
+MpppbConfig
+withoutFeature(const MpppbConfig& cfg, std::size_t idx)
+{
+    MpppbConfig out = cfg;
+    out.predictor.features = without(cfg.predictor.features, idx);
+    const double scale =
+        static_cast<double>(out.predictor.features.size()) /
+        static_cast<double>(cfg.predictor.features.size());
+    auto& th = out.thresholds;
+    th.tauBypass = static_cast<int>(th.tauBypass * scale);
+    for (auto& t : th.tau)
+        t = static_cast<int>(t * scale);
+    th.tauNoPromote = static_cast<int>(th.tauNoPromote * scale);
+    return out;
+}
+
 MpppbPolicy::MpppbPolicy(const cache::CacheGeometry& geom, unsigned cores,
                          const MpppbConfig& cfg)
     : cfg_(cfg), predictor_(geom, cores, cfg.predictor)

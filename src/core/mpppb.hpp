@@ -70,6 +70,14 @@ MpppbConfig singleThreadMpppbConfig();
 /** Paper-default multi-core configuration (Table 2 features). */
 MpppbConfig multiCoreMpppbConfig();
 
+/**
+ * @p cfg with feature @p idx removed (core::without) and τ_bypass,
+ * τ1..τ3 and τ_no-promote scaled by the size ratio (n-1)/n, truncated
+ * toward zero: the confidence sum shrinks with the feature count, so
+ * the decision operating point stays comparable (Fig. 10, Table 3).
+ */
+MpppbConfig withoutFeature(const MpppbConfig& cfg, std::size_t idx);
+
 /** The MPPPB LLC policy. */
 class MpppbPolicy : public cache::LlcPolicy
 {

@@ -9,6 +9,7 @@
 
 #include "core/feature.hpp"
 #include "core/feature_sets.hpp"
+#include "core/mpppb.hpp"
 #include "util/bitfield.hpp"
 #include "util/logging.hpp"
 
@@ -204,6 +205,34 @@ TEST(HelpersTest, UniformAssociativityAndWithout)
     EXPECT_THROW(without(set, set.size()), FatalError);
     EXPECT_THROW(withUniformAssociativity(set, 0), FatalError);
     EXPECT_THROW(withUniformAssociativity(set, 19), FatalError);
+}
+
+TEST(HelpersTest, WithoutFeatureScalesThresholdsAndKeepsTheBase)
+{
+    MpppbConfig base = singleThreadMpppbConfig();
+    base.thresholds.tauBypass = 100;
+    base.thresholds.tau = {-61, 31, -113};
+    base.thresholds.tauNoPromote = -47;
+    const MpppbConfig before = base;
+
+    const auto cut = withoutFeature(base, 3);
+    EXPECT_EQ(cut.predictor.features,
+              without(base.predictor.features, 3));
+    // 16 -> 15 features: scale by 15/16, truncated toward zero
+    // (93.75, -57.19, 29.06, -105.94, -44.06).
+    EXPECT_EQ(cut.thresholds.tauBypass, 93);
+    EXPECT_EQ(cut.thresholds.tau, (std::array<int, 3>{-57, 29, -105}));
+    EXPECT_EQ(cut.thresholds.tauNoPromote, -44);
+    EXPECT_EQ(cut.thresholds.pi, base.thresholds.pi);
+    EXPECT_EQ(cut.substrate, base.substrate);
+
+    // The base configuration is untouched.
+    EXPECT_EQ(base.predictor.features, before.predictor.features);
+    EXPECT_EQ(base.thresholds.tauBypass, 100);
+    EXPECT_EQ(base.thresholds.tau, before.thresholds.tau);
+    EXPECT_EQ(base.thresholds.tauNoPromote, -47);
+    EXPECT_THROW(withoutFeature(base, base.predictor.features.size()),
+                 FatalError);
 }
 
 TEST(HelpersTest, RandomFeaturesAreValidAndDiverse)
