@@ -8,7 +8,6 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -17,10 +16,11 @@
 namespace mrp::trace {
 
 /**
- * Builds a Trace record by record. The builder owns a deterministic RNG
- * and a PC-site allocator: generators refer to static "code sites" by
- * small indices, which map to stable, 4-byte-aligned PCs so that
- * PC-correlated reuse behaviour exists for predictors to learn.
+ * Builds a Trace record by record, straight into its compact store.
+ * The builder owns a deterministic RNG and a PC-site allocator:
+ * generators refer to static "code sites" by small indices, which map
+ * to stable, 4-byte-aligned PCs so that PC-correlated reuse behaviour
+ * exists for predictors to learn.
  */
 class TraceBuilder
 {
@@ -42,16 +42,14 @@ class TraceBuilder
     void
     load(unsigned site_idx, Addr a, bool dep = false)
     {
-        records_.push_back(Record::memOp(site(site_idx), Op::Load, a, dep));
-        ++instructions_;
+        enc_.append(Record::memOp(site(site_idx), Op::Load, a, dep));
     }
 
     /** Append a store from @p site_idx to address @p a. */
     void
     store(unsigned site_idx, Addr a, bool dep = false)
     {
-        records_.push_back(Record::memOp(site(site_idx), Op::Store, a, dep));
-        ++instructions_;
+        enc_.append(Record::memOp(site(site_idx), Op::Store, a, dep));
     }
 
     /** Append @p count non-memory instructions (compressed). */
@@ -60,12 +58,11 @@ class TraceBuilder
     {
         if (count == 0)
             return;
-        records_.push_back(Record::nonMem(site(kPadSite), count));
-        instructions_ += count;
+        enc_.append(Record::nonMem(site(kPadSite), count));
     }
 
     /** Instructions emitted so far. */
-    InstCount instructions() const { return instructions_; }
+    InstCount instructions() const { return enc_.instructions(); }
 
     /** Deterministic per-trace RNG for generators. */
     Rng& rng() { return rng_; }
@@ -74,7 +71,8 @@ class TraceBuilder
     Trace
     build() &&
     {
-        return Trace(std::move(name_), std::move(records_), instructions_);
+        const InstCount insts = enc_.instructions();
+        return std::move(enc_).finish(std::move(name_), insts);
     }
 
   private:
@@ -83,8 +81,7 @@ class TraceBuilder
     std::string name_;
     Pc codeBase_;
     Rng rng_;
-    std::vector<Record> records_;
-    InstCount instructions_ = 0;
+    Trace::Encoder enc_;
 };
 
 } // namespace mrp::trace

@@ -18,6 +18,8 @@
 
 namespace mrp::trace {
 
+class Trace;
+
 /** Kind of a trace record. */
 enum class Op : std::uint8_t {
     Load = 0,    //!< memory read
@@ -90,9 +92,13 @@ class Record
     bool dependsOnPrevLoad() const { return (packed_ & kDepBit) != 0; }
 
   private:
+    friend class Trace; //!< stores packed_ and the PC apart
+
     static constexpr std::uint64_t kAddrMask = (1ull << 48) - 1;
     static constexpr unsigned kOpShift = 48;
     static constexpr std::uint64_t kDepBit = 1ull << 50;
+    /** packed_ uses bits 0..kPackedBits-1; the rest are always zero. */
+    static constexpr unsigned kPackedBits = 51;
 
     Pc pc_;
     std::uint64_t packed_;

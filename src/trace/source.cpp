@@ -1,23 +1,15 @@
 #include "trace/source.hpp"
 
-#include <vector>
-
 namespace mrp::trace {
 
 Trace
 materialize(TraceSource& source)
 {
-    std::vector<Record> records;
-    InstCount total = 0;
-    for (;;) {
-        const auto chunk = source.nextChunk();
-        if (chunk.empty())
-            break;
-        records.insert(records.end(), chunk.begin(), chunk.end());
-        for (const auto& r : chunk)
-            total += r.count();
-    }
-    return Trace(source.name(), std::move(records), total);
+    Trace::Encoder enc;
+    for (auto chunk = source.nextChunk(); !chunk.empty();
+         chunk = source.nextChunk())
+        enc.append(chunk);
+    return std::move(enc).finish(source.name(), source.instructions());
 }
 
 } // namespace mrp::trace

@@ -33,10 +33,12 @@
 #ifndef MRP_TRACE_SOURCE_HPP
 #define MRP_TRACE_SOURCE_HPP
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "trace/trace.hpp"
 #include "util/types.hpp"
@@ -73,14 +75,23 @@ class TraceSource
  * adapter that keeps Trace-by-value producers (the synthetic simpoint
  * generators, tests) inside the one-API world. Borrows by default;
  * can own the trace when the caller has nothing to keep it alive.
+ * Chunks are decoded from the trace's compact store into a small
+ * owned buffer of at most kDecodeRecords records.
  */
 class MaterializedTraceSource final : public TraceSource
 {
   public:
+    /**
+     * Records decoded per chunk, whatever larger size is asked for.
+     * Decoding 65536 at a time cost the same per record and 256 cost
+     * more (EXPERIMENTS.md "Memory"), so the buffer stays at 32 KB.
+     */
+    static constexpr std::size_t kDecodeRecords = 2048;
+
     /** Borrow @p trace; the caller keeps it alive. */
     explicit MaterializedTraceSource(
         const Trace& trace, std::size_t chunk_records = kDefaultChunkRecords)
-        : trace_(&trace), chunkRecords_(normalize(chunk_records))
+        : trace_(&trace), buffer_(normalize(chunk_records))
     {
     }
 
@@ -88,7 +99,7 @@ class MaterializedTraceSource final : public TraceSource
     explicit MaterializedTraceSource(
         Trace&& trace, std::size_t chunk_records = kDefaultChunkRecords)
         : owned_(std::make_unique<Trace>(std::move(trace))),
-          trace_(owned_.get()), chunkRecords_(normalize(chunk_records))
+          trace_(owned_.get()), buffer_(normalize(chunk_records))
     {
     }
 
@@ -101,13 +112,13 @@ class MaterializedTraceSource final : public TraceSource
     std::span<const Record>
     nextChunk() override
     {
-        const auto& recs = trace_->records();
+        const auto recs = trace_->records();
         if (pos_ >= recs.size())
             return {};
-        const std::size_t n =
-            std::min(chunkRecords_, recs.size() - pos_);
-        const std::span<const Record> out(recs.data() + pos_, n);
-        pos_ += n;
+        const std::span<Record> out(
+            buffer_.data(), std::min(buffer_.size(), recs.size() - pos_));
+        recs.decode(pos_, out);
+        pos_ += out.size();
         return out;
     }
 
@@ -120,24 +131,27 @@ class MaterializedTraceSource final : public TraceSource
     static std::size_t
     normalize(std::size_t n)
     {
-        return n == 0 ? kDefaultChunkRecords : n;
+        return n == 0 ? kDecodeRecords : std::min(n, kDecodeRecords);
     }
 
     std::unique_ptr<Trace> owned_; //!< set iff owning
     const Trace* trace_;
-    std::size_t chunkRecords_;
+    std::vector<Record> buffer_;
     std::size_t pos_ = 0;
 };
 
 /**
  * Drain @p source into an in-memory Trace.
  *
- * MEMORY COST: this buffers the whole stream — 16 bytes per record —
- * defeating the point of streaming. It exists for offline passes that
- * genuinely need random access to the full reference sequence
- * (Belady-style oracles, Hawkeye-style OPTgen training) and for
- * tests; everything else should consume chunks. The source is left
- * exhausted; reset() it to reuse.
+ * MEMORY COST: this buffers the whole stream — 8 bytes per record,
+ * plus each 4096-record block's table of distinct PCs (layout in
+ * trace/trace.hpp) — defeating the point of streaming. It exists for
+ * offline passes that genuinely need random access to the full
+ * reference sequence (Belady-style oracles, Hawkeye-style OPTgen
+ * training) and for tests; everything else should consume chunks.
+ * Throws CorruptInput if the records' counts do not sum to
+ * source.instructions(). The source is left exhausted; reset() it to
+ * reuse.
  */
 Trace materialize(TraceSource& source);
 

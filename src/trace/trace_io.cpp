@@ -8,7 +8,8 @@ void
 saveTrace(const std::string& path, const Trace& trace)
 {
     ChunkedTraceWriter w(path, trace.name());
-    w.append(trace.records());
+    MaterializedTraceSource src(trace);
+    w.appendAll(src);
     w.finish();
 }
 

@@ -1,18 +1,31 @@
 /**
  * @file
  * Tests for the trace substrate: record packing, the builder, the
- * workload registry, and mix generation.
+ * compact in-memory store (differential against the records it was
+ * given), the workload registry, and mix generation.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <set>
+#include <string>
+#include <unistd.h>
+#include <vector>
 
 #include "trace/builder.hpp"
 #include "trace/mix.hpp"
 #include "trace/record.hpp"
+#include "trace/source.hpp"
+#include "trace/stream_reader.hpp"
+#include "trace/trace_io.hpp"
 #include "trace/workloads.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace mrp::trace {
 namespace {
@@ -65,6 +78,281 @@ TEST(BuilderTest, SitesAreStablePcs)
     TraceBuilder b("t", 0x400000, 1);
     EXPECT_EQ(b.site(0), 0x400000u);
     EXPECT_EQ(b.site(3), 0x40000Cu);
+}
+
+// ---------------------------------------------------------------------
+// The compact store, differentially: every way of reading a Trace back
+// must give exactly the records it was built from.
+
+constexpr Pc kMaxPc = std::numeric_limits<Pc>::max();
+constexpr Addr kMaxAddr = (Addr{1} << 48) - 1;
+constexpr std::uint32_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+
+/** Records bytewise equal (Record is 16 bytes without padding). */
+bool
+same(const Record& a, const Record& b)
+{
+    return std::memcmp(&a, &b, sizeof(Record)) == 0;
+}
+
+InstCount
+countOf(const std::vector<Record>& records)
+{
+    InstCount n = 0;
+    for (const auto& r : records)
+        n += r.count();
+    return n;
+}
+
+/**
+ * @p n records drawn from @p pcs, covering every field's extremes:
+ * addresses 0 and 2^48-1, non-memory counts 1 and 2^32-1, both dep
+ * values, and random values in between.
+ */
+std::vector<Record>
+fieldExtremes(std::size_t n, const std::vector<Pc>& pcs, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Record> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Pc pc = pcs[rng.below(pcs.size())];
+        const auto kind = rng.below(3);
+        if (kind == 2) {
+            const std::uint32_t counts[] = {
+                1, kMaxCount,
+                static_cast<std::uint32_t>(rng.below(kMaxCount)) + 1};
+            out.push_back(Record::nonMem(pc, counts[rng.below(3)]));
+            continue;
+        }
+        const Addr addrs[] = {0, kMaxAddr, rng.next() & kMaxAddr};
+        out.push_back(Record::memOp(pc, kind == 0 ? Op::Load : Op::Store,
+                                    addrs[rng.below(3)],
+                                    rng.below(2) == 1));
+    }
+    return out;
+}
+
+/** PCs 0 and 2^64-1 plus @p random random 64-bit values. */
+std::vector<Pc>
+pcPool(std::size_t random, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Pc> pcs = {0, kMaxPc};
+    for (std::size_t i = 0; i < random; ++i)
+        pcs.push_back(rng.next());
+    return pcs;
+}
+
+/** Every record of @p t, through operator[] and through iteration,
+ * equals @p want; so do the totals. */
+void
+expectHolds(const Trace& t, const std::vector<Record>& want)
+{
+    EXPECT_EQ(t.instructions(), countOf(want));
+    const auto recs = t.records();
+    ASSERT_EQ(recs.size(), want.size());
+    InstCount mem = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(same(recs[i], want[i])) << "record " << i;
+        mem += want[i].isMem() ? 1 : 0;
+    }
+    EXPECT_EQ(t.memOps(), mem);
+    std::size_t i = 0;
+    for (const Record r : recs)
+        ASSERT_TRUE(same(r, want[i++])) << "iterated record " << i - 1;
+    EXPECT_EQ(i, want.size());
+}
+
+/** Everything @p source serves, in order. */
+std::vector<Record>
+drain(TraceSource& source)
+{
+    std::vector<Record> out;
+    for (auto c = source.nextChunk(); !c.empty(); c = source.nextChunk())
+        out.insert(out.end(), c.begin(), c.end());
+    return out;
+}
+
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(CompactTraceTest, HoldsEveryFieldExtremeAtEveryBlockBoundary)
+{
+    constexpr std::size_t B = Trace::kBlockRecords;
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, B - 1, B, B + 1, 3 * B + 5}) {
+        const auto want = fieldExtremes(n, pcPool(40, n), 7 + n);
+        expectHolds(Trace("t", want, countOf(want)), want);
+    }
+}
+
+TEST(CompactTraceTest, HoldsMorePcsThanOneBlockCanName)
+{
+    // Every record its own random PC: each full block uses all 4096
+    // slots of its table, and the trace names about 3.5 blocks' worth.
+    constexpr std::size_t B = Trace::kBlockRecords;
+    Rng rng(99);
+    std::vector<Record> want;
+    for (std::size_t i = 0; i < 3 * B + B / 2; ++i)
+        want.push_back(Record::memOp(rng.next(), Op::Load,
+                                     rng.next() & kMaxAddr, i % 2 == 0));
+    want[0] = Record::memOp(0, Op::Store, 0);
+    want[B - 1] = Record::nonMem(kMaxPc, kMaxCount);
+    want[B] = Record::memOp(kMaxPc, Op::Load, kMaxAddr, true);
+    expectHolds(Trace("pcs", want, countOf(want)), want);
+
+    // More distinct PCs overall than one block holds, but each block
+    // only draws from part of them.
+    const auto pool = pcPool(9000, 5);
+    const auto mixed = fieldExtremes(5 * B, pool, 6);
+    expectHolds(Trace("mixed", mixed, countOf(mixed)), mixed);
+}
+
+TEST(CompactTraceTest, MaterializeStoresWhatItIsServed)
+{
+    // A generated trace, served in odd 7-record chunks and re-encoded
+    // by materialize(), holds the same records as the original.
+    const Trace t = makeSuiteTrace(22, 40000);
+    const auto want = [&] {
+        const auto r = t.records();
+        return std::vector<Record>(r.begin(), r.end());
+    }();
+    MaterializedTraceSource src(t, 7);
+    expectHolds(materialize(src), want);
+}
+
+TEST(CompactTraceTest, ChunkedDeliveryAndResetReplayTheInput)
+{
+    constexpr std::size_t B = Trace::kBlockRecords;
+    const auto want = fieldExtremes(4 * B + 3, pcPool(6000, 3), 4);
+    const Trace t("chunks", want, countOf(want));
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{2048}, std::size_t{65536}}) {
+        MaterializedTraceSource src(t, chunk);
+        EXPECT_EQ(src.instructions(), countOf(want));
+        std::vector<Record> got;
+        for (auto c = src.nextChunk(); !c.empty(); c = src.nextChunk()) {
+            EXPECT_LE(c.size(), chunk);
+            got.insert(got.end(), c.begin(), c.end());
+        }
+        ASSERT_EQ(got.size(), want.size()) << "chunk " << chunk;
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_TRUE(same(got[i], want[i]))
+                << "chunk " << chunk << ", record " << i;
+
+        // reset() after the end, and again mid-stream.
+        src.reset();
+        EXPECT_EQ(drain(src).size(), want.size());
+        src.reset();
+        (void)src.nextChunk();
+        src.reset();
+        const auto again = drain(src);
+        ASSERT_EQ(again.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_TRUE(same(again[i], want[i]))
+                << "replay, chunk " << chunk << ", record " << i;
+    }
+}
+
+TEST(CompactTraceTest, SaveTraceWritesTheBytesOfTheInput)
+{
+    // saveTrace decodes the store chunk by chunk; the file must be the
+    // one a writer fed the original records produces.
+    constexpr std::size_t B = Trace::kBlockRecords;
+    const auto want = fieldExtremes(20 * B + 11, pcPool(5000, 8), 9);
+    const Trace t("save", want, countOf(want));
+    const std::string tag = std::to_string(::getpid());
+    const std::string saved = "compact_saved_" + tag + ".mrpt";
+    const std::string direct = "compact_direct_" + tag + ".mrpt";
+    saveTrace(saved, t);
+    {
+        ChunkedTraceWriter w(direct, t.name());
+        w.append(want);
+        w.finish();
+    }
+    const std::string a = readFile(saved);
+    const std::string b = readFile(direct);
+    std::remove(saved.c_str());
+    std::remove(direct.c_str());
+    EXPECT_GT(a.size(), want.size() * sizeof(Record));
+    EXPECT_TRUE(a == b) << "saveTrace bytes differ from the writer's";
+}
+
+TEST(CompactTraceTest, RejectsAWrongInstructionTotal)
+{
+    const std::vector<Record> recs = {Record::memOp(0x400, Op::Load, 64),
+                                      Record::nonMem(0x404, 10)};
+    EXPECT_NO_THROW(Trace("ok", recs, 11));
+    for (const InstCount wrong : {InstCount{0}, InstCount{10},
+                                  InstCount{12}}) {
+        try {
+            Trace("bad", recs, wrong);
+            FAIL() << "accepted a total of " << wrong;
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::CorruptInput) << e.what();
+        }
+    }
+}
+
+/** A source whose instructions() disagrees with its records. */
+class LyingSource final : public TraceSource
+{
+  public:
+    explicit LyingSource(InstCount claimed) : claimed_(claimed) {}
+    const std::string& name() const override { return name_; }
+    InstCount instructions() const override { return claimed_; }
+    std::span<const Record>
+    nextChunk() override
+    {
+        if (served_)
+            return {};
+        served_ = true;
+        return records_;
+    }
+    void reset() override { served_ = false; }
+
+  private:
+    std::string name_ = "liar";
+    InstCount claimed_;
+    std::vector<Record> records_ = {Record::nonMem(0x400, 5)};
+    bool served_ = false;
+};
+
+TEST(CompactTraceTest, MaterializeRejectsASourceThatMiscounts)
+{
+    LyingSource honest(5);
+    EXPECT_EQ(materialize(honest).instructions(), 5u);
+    LyingSource liar(6);
+    try {
+        (void)materialize(liar);
+        FAIL() << "materialize accepted a miscounted source";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::CorruptInput) << e.what();
+    }
+}
+
+TEST(CompactTraceTest, RejectsRecordsWithReservedBitsSet)
+{
+    // Only raw file bytes can make such a record; the store has no
+    // room for bits 51-63 of the packed word, so it must refuse it.
+    const Record good = Record::memOp(0x400, Op::Load, 64);
+    Record bad;
+    std::uint64_t raw[2] = {};
+    std::memcpy(raw, &good, sizeof(raw));
+    raw[1] |= std::uint64_t{1} << 57;
+    std::memcpy(&bad, raw, sizeof(raw));
+    try {
+        Trace("reserved", {good, bad}, 2);
+        FAIL() << "stored a record with reserved bits set";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::CorruptInput) << e.what();
+    }
 }
 
 TEST(WorkloadsTest, SuiteHas33Benchmarks)

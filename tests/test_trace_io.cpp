@@ -5,9 +5,10 @@
  * materialized), in both FileModes. Covers round trips, the typed
  * rejection of v1/v2 files, a corrupt-input suite (truncation at every
  * header boundary, oversized length fields, wrong totals, trailing
- * bytes, a seeded single-bit-flip sweep over whole files), and the
- * stream.* fault sites. Every rejection must be a typed FatalError: no
- * crash, no unbounded allocation, no leaked file.
+ * bytes, a seeded single-bit-flip sweep over whole files, a seeded
+ * mutation loop of truncations, chunk duplications and splices), and
+ * the stream.* fault sites. Every rejection must be a typed
+ * FatalError: no crash, no unbounded allocation, no leaked file.
  */
 
 #include <gtest/gtest.h>
@@ -44,6 +45,13 @@ const char*
 modeName(FileMode mode)
 {
     return mode == FileMode::Buffered ? "buffered" : "mmap";
+}
+
+std::vector<Record>
+recordsOf(const Trace& t)
+{
+    const auto r = t.records();
+    return {r.begin(), r.end()};
 }
 
 void
@@ -131,7 +139,7 @@ bytesOf(const Trace& trace, std::size_t chunk_records = 500)
 {
     TempPath p("image");
     ChunkedTraceWriter w(p.str(), trace.name(), chunk_records);
-    w.append(trace.records());
+    w.append(recordsOf(trace));
     w.finish();
     return readFile(p.str());
 }
@@ -236,7 +244,8 @@ TEST(TraceIoTest, V3RoundTripsExplicitly)
     TempPath p("pieces");
     {
         ChunkedTraceWriter w(p.str(), original.name(), 256);
-        std::span<const Record> rest(original.records());
+        const auto all = recordsOf(original);
+        std::span<const Record> rest(all);
         for (std::size_t step = 1; !rest.empty();
              step = step * 3 % 1000 + 1) {
             const auto piece = rest.first(std::min(step, rest.size()));
@@ -449,6 +458,102 @@ TEST(TraceIoTest, SeededBitFlipsAreAlwaysRejected)
     }
 }
 
+/** File offsets of the chunk headers of the v3 image @p bytes. */
+std::vector<std::size_t>
+chunkStarts(const std::string& bytes, std::size_t name_len)
+{
+    std::vector<std::size_t> starts;
+    for (std::size_t at = wire::v3PayloadStart(name_len);
+         at < bytes.size();) {
+        starts.push_back(at);
+        std::uint32_t count = 0;
+        std::memcpy(&count, &bytes[at], sizeof(count));
+        at += wire::kChunkHeaderBytes + count * sizeof(Record);
+    }
+    return starts;
+}
+
+TEST(TraceIoTest, SeededMutationsReadBackOrFailTyped)
+{
+    // Generative fuzzing of the v3 decoder: every truncation through
+    // the header and the first chunk header, then seeded duplications
+    // of whole chunks, splices with another trace's image, splices of
+    // the file with itself (dropping or repeating a byte range), and
+    // truncations anywhere. A mutant must read back as the original
+    // records or fail with CorruptInput/Io, in both modes; never crash,
+    // and never read back as anything else. Whole-chunk reorders are
+    // left out: v3 chunks carry no position, so a file with two chunks
+    // swapped is read back without an error.
+    const Trace original = makeSuiteTrace(3, 8000);
+    const auto want = recordsOf(original);
+    const std::string clean = bytesOf(original, 300);
+    const std::string donor = bytesOf(makeSuiteTrace(4, 8000), 300);
+    const auto starts = chunkStarts(clean, original.name().size());
+    ASSERT_GE(starts.size(), 4u);
+
+    std::vector<std::pair<std::string, std::string>> mutants;
+    for (std::size_t cut = 0; cut <= starts[0] + wire::kChunkHeaderBytes;
+         ++cut)
+        mutants.emplace_back("cut at " + std::to_string(cut),
+                             clean.substr(0, cut));
+    Rng rng(2024);
+    for (int i = 0; i < 400; ++i) {
+        const auto k = static_cast<std::size_t>(rng.below(starts.size()));
+        const std::size_t end =
+            k + 1 < starts.size() ? starts[k + 1] : clean.size();
+        const auto a = static_cast<std::size_t>(rng.below(clean.size()));
+        switch (rng.below(4)) {
+        case 0:
+            mutants.emplace_back(
+                "chunk " + std::to_string(k) + " duplicated",
+                clean.substr(0, end) +
+                    clean.substr(starts[k], end - starts[k]) +
+                    clean.substr(end));
+            break;
+        case 1: {
+            const auto b = static_cast<std::size_t>(rng.below(donor.size()));
+            mutants.emplace_back(
+                "own bytes to " + std::to_string(a) +
+                    ", donor bytes from " + std::to_string(b),
+                clean.substr(0, a) + donor.substr(b));
+            break;
+        }
+        case 2: {
+            const auto b = static_cast<std::size_t>(rng.below(clean.size()));
+            mutants.emplace_back("bytes to " + std::to_string(a) +
+                                     ", then from " + std::to_string(b),
+                                 clean.substr(0, a) + clean.substr(b));
+            break;
+        }
+        default:
+            mutants.emplace_back("cut at " + std::to_string(a),
+                                 clean.substr(0, a));
+        }
+    }
+
+    TempPath p("mutant");
+    for (const auto& [what, bytes] : mutants) {
+        writeFile(p.str(), bytes);
+        for (const auto mode : kModes) {
+            try {
+                const auto got = recordsOf(load(p.str(), mode));
+                const bool same =
+                    got.size() == want.size() &&
+                    std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(Record)) == 0;
+                EXPECT_TRUE(same)
+                    << modeName(mode) << ", " << what
+                    << ": read back different records without an error";
+            } catch (const FatalError& e) {
+                EXPECT_TRUE(e.code() == ErrorCode::CorruptInput ||
+                            e.code() == ErrorCode::Io)
+                    << modeName(mode) << ", " << what << ": "
+                    << errorCodeName(e.code()) << ": " << e.what();
+            }
+        }
+    }
+}
+
 TEST(TraceIoTest, OverlongNameIsAConfigErrorThatLeaksNothing)
 {
     // The writer checks the name before it creates its tmp file: a
@@ -468,7 +573,7 @@ TEST(TraceIoTest, OverlongNameIsAConfigErrorThatLeaksNothing)
 
     const Trace t = makeSuiteTrace(0, 5000);
     try {
-        saveTrace(p.str(), Trace(name, t.records(), t.instructions()));
+        saveTrace(p.str(), Trace(name, recordsOf(t), t.instructions()));
         FAIL() << "saveTrace accepted a " << name.size() << "-byte name";
     } catch (const FatalError& e) {
         EXPECT_EQ(e.code(), ErrorCode::Config);

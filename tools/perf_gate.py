@@ -7,8 +7,9 @@ For every workload listed in both trees' BENCHMARK.json, runs
 `python3 <tree>/perfbench/run.py --workload W --trace 0` PAIRS times per
 tree at SECONDS each, alternating which tree goes first. Each tree builds
 into its own .bench_build/. Exits 1 if any run fails or reports
-"correct": false (a digest mismatch or a failed run), or if head's median
-sim_insts_per_ref_s is more than MAX_DROP below base's. Nothing is
+"correct": false (a digest mismatch or a failed run), if head's median
+sim_insts_per_ref_s is more than MAX_DROP below base's, or if head's
+median peak_rss_mb is more than MAX_RSS_RISE above base's. Nothing is
 compared against a committed baseline, so nothing can go stale.
 
 The constants come from same-commit spread. Two copies of one commit on a
@@ -16,6 +17,14 @@ shared 4-CPU x86-64 host, two gate runs: medians differed by at most 1.4%,
 and single runs spanned up to 11% (suite_mpppb 4.39e7..4.92e7). MAX_DROP
 sits above that span, so even medians at opposite extremes pass, while a
 25% slowdown fails with 13 points to spare.
+
+Peak RSS is steadier. Same host, 52 runs of two commits (10-pair A/Bs of
+both workloads and one same-commit gate run): the runs of one commit on
+one workload spanned at most 7.1% (suite_lru_stream 198.6..212.8 MB), and
+the same-commit gate's medians differed by 0.7% and 0.1%. MAX_RSS_RISE
+sits about twice above that span. A head that keeps a copy of every
+trace it generates read +450% (suite_mpppb) and +623% (suite_lru_stream),
+and fails it.
 """
 
 import json
@@ -27,7 +36,9 @@ import sys
 PAIRS = 3
 SECONDS = 15
 MAX_DROP = 0.12
-METRIC = "sim_insts_per_ref_s"
+MAX_RSS_RISE = 0.15
+SPEED = "sim_insts_per_ref_s"
+RSS = "peak_rss_mb"
 
 
 def workloads(tree):
@@ -36,16 +47,29 @@ def workloads(tree):
 
 
 def run(tree, workload):
-    """One perfbench run; returns (correct, metric value or None)."""
+    """One perfbench run; returns (correct, {metric: value}, empty if it failed)."""
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", workload, "--trace", "0", "--seconds", str(SECONDS)]
     proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return False, None
+        return False, {}
     out = json.loads(lines[-1])
-    return out["correct"], out["metrics"][METRIC]["value"]
+    return out["correct"], {m: out["metrics"][m]["value"] for m in (SPEED, RSS)}
+
+
+def judge(workload, values, metric, limit, higher_is_better):
+    """Compare head's median to base's; returns True if within limit."""
+    base = statistics.median(v[metric] for v in values["base"])
+    head = statistics.median(v[metric] for v in values["head"])
+    change = head / base - 1.0
+    passed = change >= -limit if higher_is_better else change <= limit
+    print("%-18s %-19s median base %.4g head %.4g: %+.1f%% (limit %s%.0f%%) %s"
+          % (workload, metric, base, head, 100 * change,
+             "-" if higher_is_better else "+", 100 * limit,
+             "ok" if passed else "REGRESSED"), flush=True)
+    return passed
 
 
 def main():
@@ -59,21 +83,18 @@ def main():
         for i in range(PAIRS):
             for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
                 correct, value = run(trees[side], w)
-                print("%-18s %s pair %d: correct=%s %s=%s"
-                      % (w, side, i, correct, METRIC, value), flush=True)
+                print("%-18s %s pair %d: correct=%s %s"
+                      % (w, side, i, correct,
+                         " ".join("%s=%s" % kv for kv in value.items())), flush=True)
                 if not correct:
                     ok = False
-                if value is not None:
+                if value:
                     values[side].append(value)
         if not values["base"] or not values["head"]:
             continue  # every run on one side failed; ok is already False
-        base, head = statistics.median(values["base"]), statistics.median(values["head"])
-        change = head / base - 1.0
-        passed = change >= -MAX_DROP
-        ok = ok and passed
-        print("%-18s median base %.4g head %.4g: %+.1f%% (limit -%.0f%%) %s"
-              % (w, base, head, 100 * change, 100 * MAX_DROP, "ok" if passed else "REGRESSED"),
-              flush=True)
+        speed_ok = judge(w, values, SPEED, MAX_DROP, True)
+        rss_ok = judge(w, values, RSS, MAX_RSS_RISE, False)
+        ok = ok and speed_ok and rss_ok
     print("perf gate: %s" % ("PASS" if ok else "FAIL"))
     sys.exit(0 if ok else 1)
 
