@@ -10,41 +10,6 @@ BasicCache::BasicCache(std::string name, Addr bytes, std::uint32_t ways)
 {
 }
 
-std::size_t
-BasicCache::find(Addr addr) const
-{
-    const std::uint64_t tag = geom_.tag(addr);
-    const std::size_t base =
-        static_cast<std::size_t>(geom_.setIndex(addr)) * geom_.ways();
-    const std::uint64_t* tags = &tags_[base];
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w)
-        if (tags[w] == tag)
-            return base + w;
-    return kAbsent;
-}
-
-bool
-BasicCache::access(Addr addr, bool is_write)
-{
-    ++stats_.demandAccesses;
-    const std::size_t i = find(addr);
-    if (i != kAbsent) {
-        stamps_[i] = ++useClock_;
-        if (is_write)
-            dirty_[i] = 1;
-        ++stats_.demandHits;
-        return true;
-    }
-    ++stats_.demandMisses;
-    return false;
-}
-
-bool
-BasicCache::contains(Addr addr) const
-{
-    return find(addr) != kAbsent;
-}
-
 bool
 BasicCache::touch(Addr addr)
 {

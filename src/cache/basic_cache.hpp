@@ -14,6 +14,10 @@
  * every valid way has a stamp of at least 1. So lookup is a plain tag
  * compare, and "first free way, else the least recently used" is one
  * first-minimum scan over the stamps.
+ *
+ * access(), contains() and find() are defined in this header: the
+ * hierarchy's L1 probe runs once per memory record and inlines them
+ * into the core's record loop (see Hierarchy::access).
  */
 
 #ifndef MRP_CACHE_BASIC_CACHE_HPP
@@ -50,10 +54,24 @@ class BasicCache
      * dirty bit.
      * @return true on hit
      */
-    bool access(Addr addr, bool is_write);
+    bool
+    access(Addr addr, bool is_write)
+    {
+        ++stats_.demandAccesses;
+        const std::size_t i = find(addr);
+        if (i != kAbsent) {
+            stamps_[i] = ++useClock_;
+            if (is_write)
+                dirty_[i] = 1;
+            ++stats_.demandHits;
+            return true;
+        }
+        ++stats_.demandMisses;
+        return false;
+    }
 
     /** Non-mutating presence check. */
-    bool contains(Addr addr) const;
+    bool contains(Addr addr) const { return find(addr) != kAbsent; }
 
     /**
      * Refresh recency of a block if present (no statistics recorded);
@@ -83,7 +101,18 @@ class BasicCache
     static constexpr std::size_t kAbsent = ~std::size_t{0};
 
     /** Index of @p addr's block in the arrays, or kAbsent. */
-    std::size_t find(Addr addr) const;
+    std::size_t
+    find(Addr addr) const
+    {
+        const std::uint64_t tag = geom_.tag(addr);
+        const std::size_t base =
+            static_cast<std::size_t>(geom_.setIndex(addr)) * geom_.ways();
+        const std::uint64_t* tags = &tags_[base];
+        for (std::uint32_t w = 0; w < geom_.ways(); ++w)
+            if (tags[w] == tag)
+                return base + w;
+        return kAbsent;
+    }
 
     std::string name_;
     CacheGeometry geom_;

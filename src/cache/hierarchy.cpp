@@ -33,18 +33,10 @@ Hierarchy::Hierarchy(const HierarchyConfig& cfg,
 }
 
 Cycle
-Hierarchy::access(CoreId core, Pc pc, Addr addr, bool is_write,
-                  const CoreContext* ctx)
+Hierarchy::accessMiss(CoreId core, Pc pc, Addr addr, bool is_write,
+                      const CoreContext* ctx)
 {
-    panicIf(core >= cfg_.cores, "core id out of range");
-
-    if (l1_[core].access(addr, is_write)) {
-        if (prefetchTracking_)
-            prefetchers_[core].observeDemandHit(addr);
-        return cfg_.l1Latency;
-    }
-
-    // L1 miss: train the stream prefetcher before servicing the miss.
+    // Train the stream prefetcher before servicing the miss.
     pfBuf_.clear();
     if (cfg_.prefetchEnabled)
         prefetchers_[core].onL1Miss(addr, pfBuf_);

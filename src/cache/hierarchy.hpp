@@ -21,6 +21,7 @@
 #include "cache/basic_cache.hpp"
 #include "cache/policy_cache.hpp"
 #include "prefetch/stream_prefetcher.hpp"
+#include "util/logging.hpp"
 
 namespace mrp::telemetry {
 class Session;
@@ -64,9 +65,22 @@ class Hierarchy
      * Perform one demand access and return its latency in cycles.
      * @param ctx per-core predictor context (PC history); the caller
      *        updates it *after* this returns.
+     *
+     * The L1 probe is inline so that it compiles into the core's
+     * record loop; everything below an L1 miss is out of line.
      */
-    Cycle access(CoreId core, Pc pc, Addr addr, bool is_write,
-                 const CoreContext* ctx);
+    Cycle
+    access(CoreId core, Pc pc, Addr addr, bool is_write,
+           const CoreContext* ctx)
+    {
+        panicIf(core >= cfg_.cores, "core id out of range");
+        if (l1_[core].access(addr, is_write)) {
+            if (prefetchTracking_)
+                prefetchers_[core].observeDemandHit(addr);
+            return cfg_.l1Latency;
+        }
+        return accessMiss(core, pc, addr, is_write, ctx);
+    }
 
     PolicyCache& llc() { return llc_; }
     const PolicyCache& llc() const { return llc_; }
@@ -104,6 +118,9 @@ class Hierarchy
     void resetStats();
 
   private:
+    /** The rest of access() after an L1 demand miss (already counted). */
+    Cycle accessMiss(CoreId core, Pc pc, Addr addr, bool is_write,
+                     const CoreContext* ctx);
     void writebackToL2(CoreId core, Addr block_address);
     void writebackToLlc(CoreId core, Addr block_address);
     void issuePrefetches(CoreId core, const CoreContext* ctx);

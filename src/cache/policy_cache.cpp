@@ -10,7 +10,7 @@ PolicyCache::PolicyCache(Addr bytes, std::uint32_t ways,
       tags_(static_cast<std::size_t>(geom_.sets()) * geom_.ways(),
             kInvalidTag),
       owners_(tags_.size(), 0), dirty_(tags_.size(), 0),
-      demandMissesPerCore_(cores, 0)
+      validWays_(geom_.sets(), 0), demandMissesPerCore_(cores, 0)
 {
     fatalIf(!policy_, "PolicyCache requires a policy");
     fatalIf(cores == 0, "PolicyCache requires at least one core");
@@ -102,12 +102,16 @@ PolicyCache::access(const AccessInfo& info)
 
     // Find an invalid allowed way first: bypassing when a way is free
     // would waste capacity, so the policy is only consulted for full
-    // (within the partition) sets.
+    // (within the partition) sets. A full set has no free way at all.
     std::uint32_t fill_way = geom_.ways();
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if ((allowed >> w & 1) != 0 && tags_[base + w] == kInvalidTag) {
-            fill_way = w;
-            break;
+    if (validWays_[set] != geom_.ways()) {
+        for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
+            if ((allowed >> w & 1) != 0 &&
+                tags_[base + w] == kInvalidTag) {
+                fill_way = w;
+                ++validWays_[set];
+                break;
+            }
         }
     }
     if (fill_way == geom_.ways()) {

@@ -6,6 +6,10 @@
  * (kInvalidTag, ~0, marks an invalid way), u32 tenant owners read only
  * after a tag match, and u8 dirty flags. A 16-way tag probe reads two
  * 64-byte host lines. Recency lives in the policy, not here.
+ *
+ * Ways are never invalidated, so each set's count of valid ways (a u8;
+ * ways <= 64) only rises. A miss in a full set — nearly every miss
+ * after warmup — skips the free-way scan.
  */
 
 #ifndef MRP_CACHE_POLICY_CACHE_HPP
@@ -69,6 +73,12 @@ class PolicyCache
     /** LLC demand misses attributed to a core. */
     std::uint64_t demandMissesOf(CoreId core) const;
 
+    /** Valid ways in @p set; at ways() the free-way scan is skipped. */
+    std::uint32_t validWays(std::uint32_t set) const
+    {
+        return validWays_[set];
+    }
+
     /** Valid blocks currently owned by tenant @p owner (O(cache)). */
     std::uint64_t ownerBlockCount(std::uint32_t owner) const;
 
@@ -88,6 +98,7 @@ class PolicyCache
     std::vector<std::uint64_t> tags_;
     std::vector<std::uint32_t> owners_; //!< tenant id; 0 unpartitioned
     std::vector<std::uint8_t> dirty_;
+    std::vector<std::uint8_t> validWays_; //!< per set
     stats::LevelStats stats_;
     std::vector<std::uint64_t> demandMissesPerCore_;
 };

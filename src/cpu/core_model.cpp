@@ -90,10 +90,9 @@ CoreModel::retireOne(Cycle enter, Cycle completion)
     (void)enter;
 }
 
-void
-CoreModel::step()
+inline void
+CoreModel::stepRecord()
 {
-    panicIf(finished(), "step() on a finished core");
     // Copy by value before advancing: fetching the next chunk
     // invalidates the span this record lives in.
     const trace::Record rec = chunk_[chunkIdx_];
@@ -179,6 +178,20 @@ CoreModel::step()
         ++loadCount_;
     }
     retireOne(e, completion);
+}
+
+void
+CoreModel::step()
+{
+    panicIf(finished(), "step() on a finished core");
+    stepRecord();
+}
+
+void
+CoreModel::run(InstCount until)
+{
+    while (!exhausted_ && retired_ < until)
+        stepRecord();
 }
 
 } // namespace mrp::cpu

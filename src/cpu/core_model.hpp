@@ -73,6 +73,14 @@ class CoreModel
     /** Process the next trace record (all instructions it covers). */
     void step();
 
+    /**
+     * Process records until at least @p until instructions have
+     * retired or a non-looping trace is exhausted: the same as
+     * `while (!finished() && retired() < until) step();`, with the
+     * record loop kept inside the core.
+     */
+    void run(InstCount until);
+
     /** Instructions retired so far. */
     InstCount retired() const { return retired_; }
 
@@ -87,6 +95,10 @@ class CoreModel
     InstCount loadCount() const { return loadCount_; }
 
   private:
+    /** The one body of step() and run(): process the next record of
+     * an unfinished core. */
+    [[gnu::always_inline]] inline void stepRecord();
+
     /** Advance one instruction with completion time = enter + lat. */
     void retireOne(Cycle enter, Cycle completion);
 

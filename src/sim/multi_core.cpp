@@ -361,8 +361,7 @@ standaloneIpc(trace::TraceSource& source, const MultiCoreConfig& cfg)
     cpu::CoreModel cpu(0, hier, source, /*loop=*/true);
 
     // Same per-thread warmup share as a 4-core mixed run.
-    while (cpu.retired() < cfg.warmupInstructions / 4)
-        cpu.step();
+    cpu.run(cfg.warmupInstructions / 4);
     const Cycle base_cycle = cpu.cycle();
     const InstCount base_insts = cpu.retired();
     while (cpu.cycle() < base_cycle + cfg.measureCycles)

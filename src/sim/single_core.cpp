@@ -1,5 +1,7 @@
 #include "sim/single_core.hpp"
 
+#include <limits>
+
 #include "cpu/core_model.hpp"
 #include "policy/lru.hpp"
 #include "policy/min.hpp"
@@ -38,8 +40,7 @@ runWithPolicy(trace::TraceSource& source,
         cfg.warmupFraction);
     {
         MRP_PROF_SCOPE("warmup");
-        while (!cpu.finished() && cpu.retired() < warm_insts)
-            cpu.step();
+        cpu.run(warm_insts);
     }
     hier.resetStats();
     // Attach telemetry at the start of the measurement window so every
@@ -64,8 +65,7 @@ runWithPolicy(trace::TraceSource& source,
 
     {
         MRP_PROF_SCOPE("measure");
-        while (!cpu.finished())
-            cpu.step();
+        cpu.run(std::numeric_limits<InstCount>::max());
     }
 
     SingleCoreResult r;

@@ -243,10 +243,17 @@ struct ChunkHead
 
 /**
  * Read one chunk header from @p in and validate its record count
- * against the chunk @p capacity, the @p records_left the file header
- * still owes, and the bytes physically remaining. @p base is the
- * absolute file offset of the cursor's origin, so diagnostics can name
- * the real position.
+ * against the chunk @p capacity, the @p records_left (at least one)
+ * the file header still owes, and the bytes physically remaining.
+ * @p base is the absolute file offset of the cursor's origin, so
+ * diagnostics can name the real position.
+ *
+ * ChunkedTraceWriter fills every chunk to capacity and writes the one
+ * short chunk last, so a count is valid only if it is exactly
+ * min(capacity, records_left): a short chunk anywhere else means the
+ * chunks were reordered. (Two full chunks swapped still read back;
+ * catching that needs the chunk's position in its CRC, a format
+ * change.)
  */
 ChunkHead
 readChunkHead(ByteCursor& in, std::uint32_t capacity,
@@ -257,17 +264,16 @@ readChunkHead(ByteCursor& in, std::uint32_t capacity,
     c.count = in.get<std::uint32_t>("chunk record count");
     c.crc = in.get<std::uint32_t>("chunk CRC");
     c.instructions = in.get<std::uint64_t>("chunk instruction count");
-    fatalIf(c.count == 0 || c.count > capacity, ErrorCode::CorruptInput,
-            "corrupt chunk at offset " +
-                std::to_string(c.fileOffset) + ": record count " +
-                std::to_string(c.count) + " outside [1, " +
-                std::to_string(capacity) + "]");
-    fatalIf(c.count > records_left, ErrorCode::CorruptInput,
-            "corrupt chunk at offset " +
-                std::to_string(c.fileOffset) + ": record count " +
-                std::to_string(c.count) + " exceeds the " +
-                std::to_string(records_left) +
-                " record(s) the header has left");
+    const std::uint64_t expected =
+        std::min<std::uint64_t>(capacity, records_left);
+    if (c.count != expected) [[unlikely]]
+        fatal(ErrorCode::CorruptInput,
+              "corrupt chunk at offset " + std::to_string(c.fileOffset) +
+                  ": record count " + std::to_string(c.count) +
+                  ", expected " + std::to_string(expected) +
+                  " (chunk capacity " + std::to_string(capacity) + ", " +
+                  std::to_string(records_left) +
+                  " record(s) left; only the last chunk may be short)");
     fatalIf(c.count * sizeof(Record) > in.remaining(),
             ErrorCode::CorruptInput,
             "truncated trace stream: chunk at offset " +

@@ -126,35 +126,58 @@ fatal(ErrorCode code, const std::string& msg)
     throw FatalError(code, msg);
 }
 
+namespace detail {
+
+/*
+ * The failure halves of the checks below: cold and never inlined, so
+ * a call site keeps only its compare and a branch to one shared call,
+ * and the string is built only on the failing path.
+ */
+[[noreturn, gnu::cold, gnu::noinline]] inline void
+panicCold(std::string_view msg)
+{
+    panic(std::string(msg));
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void
+fatalCold(ErrorCode code, std::string_view msg)
+{
+    fatal(code, std::string(msg));
+}
+
+} // namespace detail
+
 /*
  * The checks take a std::string_view so that a passing check with a
  * string-literal message costs one compare and allocates nothing; the
  * message string is built only when the check fails. Messages composed
- * at the call site live until the end of the full expression.
+ * at the call site live until the end of the full expression. The
+ * checks are always inlined: left to itself GCC may emit an
+ * out-of-line call per check, even on the per-record path.
  */
 
 /** Panic if @p cond holds. */
-inline void
+[[gnu::always_inline]] inline void
 panicIf(bool cond, std::string_view msg)
 {
     if (cond) [[unlikely]]
-        panic(std::string(msg));
+        detail::panicCold(msg);
 }
 
 /** Fatal error if @p cond holds. */
-inline void
+[[gnu::always_inline]] inline void
 fatalIf(bool cond, std::string_view msg)
 {
     if (cond) [[unlikely]]
-        fatal(std::string(msg));
+        detail::fatalCold(ErrorCode::Config, msg);
 }
 
 /** Classified fatal error if @p cond holds. */
-inline void
+[[gnu::always_inline]] inline void
 fatalIf(bool cond, ErrorCode code, std::string_view msg)
 {
     if (cond) [[unlikely]]
-        fatal(code, std::string(msg));
+        detail::fatalCold(code, msg);
 }
 
 } // namespace mrp

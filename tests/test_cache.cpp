@@ -14,6 +14,7 @@
 #include "cache/basic_cache.hpp"
 #include "cache/policy_cache.hpp"
 #include "policy/lru.hpp"
+#include "tenant/tenant_policy.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -605,6 +606,195 @@ TEST(PolicyCacheTest, TenantsHoldPrivateCopiesOfTheSameTag)
     EXPECT_EQ(obs.hits[1], 3);
     EXPECT_EQ(c.demandMissesOf(0), 4u);
     EXPECT_EQ(c.demandMissesOf(1), 1u);
+}
+
+/** LRU that bypasses a full set on a seeded coin flip; two instances
+ * built with one seed make the same choices. */
+class CoinBypassLruPolicy : public policy::LruPolicy
+{
+  public:
+    CoinBypassLruPolicy(const CacheGeometry& g, std::uint64_t seed)
+        : policy::LruPolicy(g), rng_(seed)
+    {
+    }
+
+    bool
+    shouldBypass(const AccessInfo&, std::uint32_t) override
+    {
+        return rng_.below(4) == 0;
+    }
+
+  private:
+    Rng rng_;
+};
+
+/**
+ * PolicyCache::access written plainly, as the reference for its
+ * valid-way count: the same policy calls in the same order, but
+ * validity is a flag per way and every miss scans the allowed ways for
+ * a free one.
+ */
+class NaiveLlc
+{
+  public:
+    NaiveLlc(Addr bytes, std::uint32_t ways,
+             std::unique_ptr<LlcPolicy> policy)
+        : geom_(bytes, ways), policy_(std::move(policy)),
+          valid_(static_cast<std::size_t>(geom_.sets()) * ways, false),
+          tags_(valid_.size(), 0), owners_(valid_.size(), 0),
+          dirty_(valid_.size(), false)
+    {
+    }
+
+    LlcPolicy& policy() { return *policy_; }
+
+    LlcResult
+    access(const AccessInfo& info)
+    {
+        const std::uint32_t set = geom_.setIndex(info.addr);
+        const std::size_t base =
+            static_cast<std::size_t>(set) * geom_.ways();
+        const std::uint64_t tag = geom_.tag(info.addr);
+        const std::uint32_t owner = policy_->tenantOf(info);
+        const bool writeback = info.type == AccessType::Writeback;
+        LlcResult r;
+        for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
+            const std::size_t i = base + w;
+            if (valid_[i] && tags_[i] == tag && owners_[i] == owner) {
+                r.hit = true;
+                dirty_[i] = dirty_[i] || writeback;
+                policy_->onHit(info, set, w);
+                return r;
+            }
+        }
+        policy_->onMiss(info, set);
+        const WayMask mask = policy_->fillWays(info, set);
+        const WayMask allowed =
+            mask != 0 ? mask : fullWayMask(geom_.ways());
+        std::uint32_t way = geom_.ways();
+        for (std::uint32_t w = 0; w < geom_.ways() && way == geom_.ways();
+             ++w)
+            if ((allowed >> w & 1) != 0 && !valid_[base + w])
+                way = w;
+        if (way == geom_.ways()) {
+            if (policy_->shouldBypass(info, set)) {
+                r.bypassed = true;
+                return r;
+            }
+            way = mask != 0 ? policy_->victimWayIn(info, set, mask)
+                            : policy_->victimWay(info, set);
+            r.victim.valid = true;
+            r.victim.blockAddress =
+                geom_.blockAddrOf(set, tags_[base + way]);
+            r.victim.dirty = dirty_[base + way];
+            policy_->onEvict(set, way);
+        }
+        valid_[base + way] = true;
+        tags_[base + way] = tag;
+        owners_[base + way] = owner;
+        dirty_[base + way] = writeback;
+        policy_->onFill(info, set, way);
+        return r;
+    }
+
+    std::uint32_t
+    validWays(std::uint32_t set) const
+    {
+        std::uint32_t n = 0;
+        for (std::uint32_t w = 0; w < geom_.ways(); ++w)
+            n += valid_[static_cast<std::size_t>(set) * geom_.ways() + w]
+                     ? 1
+                     : 0;
+        return n;
+    }
+
+  private:
+    CacheGeometry geom_;
+    std::unique_ptr<LlcPolicy> policy_;
+    std::vector<bool> valid_;
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint32_t> owners_;
+    std::vector<bool> dirty_;
+};
+
+TEST(PolicyCacheTest, FullSetSkipMatchesNaiveScan)
+{
+    // Differential check of the per-set valid-way count: random
+    // traffic of every access type against NaiveLlc, comparing each
+    // access's outcome and the accessed set's count. Policies: plain
+    // LRU, seeded coin-flip bypass, and a two-tenant partition whose
+    // masks move a way now and then (so a tenant's part of a set can
+    // be full while the set is not).
+    struct Shape
+    {
+        std::uint32_t sets;
+        std::uint32_t ways;
+    };
+    enum class Kind { Lru, CoinBypass, Tenants };
+    for (const Shape shape : {Shape{8, 1}, Shape{8, 16}, Shape{4, 64}}) {
+        for (const Kind kind : {Kind::Lru, Kind::CoinBypass, Kind::Tenants}) {
+            if (kind == Kind::Tenants && shape.ways < 2)
+                continue;
+            SCOPED_TRACE("ways " + std::to_string(shape.ways) + " kind " +
+                         std::to_string(static_cast<int>(kind)));
+            const Addr bytes =
+                Addr{shape.sets} * shape.ways * kBlockBytes;
+            const CacheGeometry g(bytes, shape.ways);
+            tenant::TenancyConfig tenancy;
+            tenancy.tenants.resize(2);
+            tenancy.tenants[0].ways = shape.ways / 2;
+            tenancy.tenants[1].ways = shape.ways - shape.ways / 2;
+            const auto make = [&]() -> std::unique_ptr<LlcPolicy> {
+                switch (kind) {
+                  case Kind::Lru:
+                      return std::make_unique<policy::LruPolicy>(g);
+                  case Kind::CoinBypass:
+                      return std::make_unique<CoinBypassLruPolicy>(g, 9);
+                  case Kind::Tenants:
+                      break;
+                }
+                return std::make_unique<tenant::TenantPartitionPolicy>(
+                    g, 2, tenancy,
+                    [](const CacheGeometry& geom, unsigned) {
+                        return std::make_unique<policy::LruPolicy>(geom);
+                    });
+            };
+            PolicyCache dut(bytes, shape.ways, make(), 2);
+            NaiveLlc ref(bytes, shape.ways, make());
+
+            Rng rng(shape.ways);
+            const Addr pool = 3 * Addr{shape.sets} * shape.ways;
+            for (int step = 0; step < 20000; ++step) {
+                if (kind == Kind::Tenants && rng.below(500) == 0) {
+                    const unsigned from = rng.below(2) == 0 ? 0u : 1u;
+                    auto& a = static_cast<tenant::TenantPartitionPolicy&>(
+                        dut.policy());
+                    auto& b = static_cast<tenant::TenantPartitionPolicy&>(
+                        ref.policy());
+                    if (a.partition().waysOf(from) >= 2) {
+                        a.partition().moveWay(from, 1 - from);
+                        b.partition().moveWay(from, 1 - from);
+                    }
+                }
+                AccessInfo info = demand(rng.below(pool) << kBlockShift,
+                                         static_cast<AccessType>(
+                                             rng.below(4)));
+                info.core = static_cast<CoreId>(rng.below(2));
+                const std::uint32_t set = g.setIndex(info.addr);
+                const LlcResult a = dut.access(info);
+                const LlcResult b = ref.access(info);
+                ASSERT_EQ(a.hit, b.hit) << "step " << step;
+                ASSERT_EQ(a.bypassed, b.bypassed) << "step " << step;
+                ASSERT_EQ(a.victim.valid, b.victim.valid) << "step " << step;
+                ASSERT_EQ(a.victim.blockAddress, b.victim.blockAddress);
+                ASSERT_EQ(a.victim.dirty, b.victim.dirty);
+                ASSERT_EQ(dut.validWays(set), ref.validWays(set))
+                    << "step " << step;
+            }
+            for (std::uint32_t set = 0; set < shape.sets; ++set)
+                EXPECT_EQ(dut.validWays(set), shape.ways);
+        }
+    }
 }
 
 } // namespace

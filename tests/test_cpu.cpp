@@ -2,17 +2,20 @@
  * @file
  * Tests for the out-of-order core timing model: width limits, window
  * stalls, miss overlap, dependent-load serialization, and the MSHR
- * bound on memory-level parallelism.
+ * bound on memory-level parallelism; run() against a step() loop.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "cpu/core_model.hpp"
 #include "policy/lru.hpp"
 #include "trace/builder.hpp"
 #include "trace/source.hpp"
+#include "trace/workloads.hpp"
+#include "util/rng.hpp"
 
 namespace mrp::cpu {
 namespace {
@@ -228,6 +231,77 @@ TEST(CoreModelTest, LoadLatencyAccounting)
     EXPECT_EQ(cpu.loadCount(), 2u);
     // First access misses everywhere (240), second hits L1 (4).
     EXPECT_EQ(cpu.loadLatencyTotal(), 244u);
+}
+
+std::array<std::uint64_t, 13>
+fieldsOf(const stats::LevelStats& s)
+{
+    return {s.demandAccesses,    s.demandHits,      s.demandMisses,
+            s.prefetchAccesses,  s.prefetchHits,    s.prefetchMisses,
+            s.writebackAccesses, s.writebackHits,   s.writebackMisses,
+            s.bypasses,          s.fills,           s.evictions,
+            s.dirtyEvictions};
+}
+
+TEST(CoreModelTest, RunMatchesAStepLoop)
+{
+    // Differential check of run(): one core driven by run(limit), a
+    // twin by `while (!finished() && retired() < limit) step();`, at
+    // seeded limits (some already reached, some past the end of an
+    // unlooped trace). Small caches with the prefetcher on keep every
+    // level missing and writing back. Kills, for example, a run()
+    // that steps one record past its limit or ignores exhaustion.
+    cache::HierarchyConfig hcfg;
+    hcfg.l1Bytes = 4 * 1024;
+    hcfg.l2Bytes = 16 * 1024;
+    hcfg.llcBytes = 64 * 1024;
+    const auto t = trace::makeSuiteTrace(5, 60000);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{2048}}) {
+        for (const bool loop : {false, true}) {
+            SCOPED_TRACE("chunk " + std::to_string(chunk) + " loop " +
+                         std::to_string(loop));
+            auto hier_a = makeHier(hcfg);
+            auto hier_b = makeHier(hcfg);
+            trace::MaterializedTraceSource src_a(t, chunk);
+            trace::MaterializedTraceSource src_b(t, chunk);
+            CoreModel a(0, *hier_a, src_a, loop);
+            CoreModel b(0, *hier_b, src_b, loop);
+            Rng rng(chunk);
+            InstCount limit = 0;
+            while (limit < 3 * t.instructions()) {
+                // Mostly short hops, so that many limits fall inside
+                // one record's instructions or on a chunk boundary.
+                limit += rng.below(4) == 0 ? rng.below(20000)
+                                           : rng.below(40);
+                a.run(limit);
+                while (!b.finished() && b.retired() < limit)
+                    b.step();
+                ASSERT_EQ(a.retired(), b.retired()) << "limit " << limit;
+                ASSERT_EQ(a.cycle(), b.cycle()) << "limit " << limit;
+                ASSERT_EQ(a.finished(), b.finished());
+                ASSERT_EQ(a.nextEnterCycle(), b.nextEnterCycle());
+                ASSERT_EQ(a.loadLatencyTotal(), b.loadLatencyTotal());
+                ASSERT_EQ(a.loadCount(), b.loadCount());
+                if (!a.finished() && rng.below(8) == 0) {
+                    a.step(); // step() and run() share one body
+                    b.step();
+                    ASSERT_EQ(a.retired(), b.retired());
+                }
+            }
+            EXPECT_EQ(a.finished(), !loop);
+            ASSERT_EQ(fieldsOf(hier_a->l1(0).stats()),
+                      fieldsOf(hier_b->l1(0).stats()));
+            ASSERT_EQ(fieldsOf(hier_a->l2(0).stats()),
+                      fieldsOf(hier_b->l2(0).stats()));
+            ASSERT_EQ(fieldsOf(hier_a->llc().stats()),
+                      fieldsOf(hier_b->llc().stats()));
+            EXPECT_EQ(hier_a->dramReads(), hier_b->dramReads());
+            EXPECT_EQ(hier_a->dramWrites(), hier_b->dramWrites());
+            EXPECT_GT(hier_a->llc().stats().evictions, 0u);
+            EXPECT_GT(hier_a->l2(0).stats().writebackAccesses, 0u);
+        }
+    }
 }
 
 } // namespace

@@ -481,9 +481,10 @@ TEST(TraceIoTest, SeededMutationsReadBackOrFailTyped)
     // the file with itself (dropping or repeating a byte range), and
     // truncations anywhere. A mutant must read back as the original
     // records or fail with CorruptInput/Io, in both modes; never crash,
-    // and never read back as anything else. Whole-chunk reorders are
-    // left out: v3 chunks carry no position, so a file with two chunks
-    // swapped is read back without an error.
+    // and never read back as anything else. Last, every swap of the
+    // short final chunk with an earlier one. Swaps of two full chunks
+    // are left out: v3 chunks carry no position, so such a file reads
+    // back without an error.
     const Trace original = makeSuiteTrace(3, 8000);
     const auto want = recordsOf(original);
     const std::string clean = bytesOf(original, 300);
@@ -530,6 +531,24 @@ TEST(TraceIoTest, SeededMutationsReadBackOrFailTyped)
                                  clean.substr(0, a));
         }
     }
+    const auto swapped = [&](std::size_t i, std::size_t j) {
+        // Chunks i < j as stored; the result holds j's bytes at i.
+        const std::size_t end_i = starts[i + 1];
+        const std::size_t end_j =
+            j + 1 < starts.size() ? starts[j + 1] : clean.size();
+        return clean.substr(0, starts[i]) +
+               clean.substr(starts[j], end_j - starts[j]) +
+               clean.substr(end_i, starts[j] - end_i) +
+               clean.substr(starts[i], end_i - starts[i]) +
+               clean.substr(end_j);
+    };
+    const std::size_t last = starts.size() - 1;
+    ASSERT_LT(clean.size() - starts[last], starts[1] - starts[0])
+        << "the last chunk must be the short one";
+    for (std::size_t k = 0; k < last; ++k)
+        mutants.emplace_back("chunk " + std::to_string(k) +
+                                 " swapped with the short last chunk",
+                             swapped(k, last));
 
     TempPath p("mutant");
     for (const auto& [what, bytes] : mutants) {
@@ -552,6 +571,34 @@ TEST(TraceIoTest, SeededMutationsReadBackOrFailTyped)
             }
         }
     }
+}
+
+TEST(TraceIoTest, RejectsAShortChunkBeforeTheLast)
+{
+    // A 300k-instruction scan.a dump, as `mrp_sim_cli --dump` writes
+    // it, is one full chunk and a short one. With the two swapped,
+    // every CRC still holds and the file used to read back (and
+    // simulate) as a different trace; now the short chunk in first
+    // place is refused.
+    const auto names = suiteNames();
+    const auto idx = static_cast<unsigned>(
+        std::find(names.begin(), names.end(), "scan.a") - names.begin());
+    ASSERT_LT(idx, names.size());
+    const auto spec = TraceSpec::suite(idx, 300000);
+    TempPath p("dump");
+    {
+        ChunkedTraceWriter w(p.str(), spec.displayName());
+        w.appendAll(*spec.open());
+        w.finish();
+    }
+    const std::string bytes = readFile(p.str());
+    const auto starts = chunkStarts(bytes, spec.displayName().size());
+    ASSERT_EQ(starts.size(), 2u);
+    const std::string swapped =
+        bytes.substr(0, starts[0]) + bytes.substr(starts[1]) +
+        bytes.substr(starts[0], starts[1] - starts[0]);
+    ASSERT_EQ(swapped.size(), bytes.size());
+    expectCorrupt(swapped, "only the last chunk may be short");
 }
 
 TEST(TraceIoTest, OverlongNameIsAConfigErrorThatLeaksNothing)
