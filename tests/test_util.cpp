@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/bitfield.hpp"
@@ -227,7 +229,7 @@ TEST(Types, BlockArithmetic)
     EXPECT_EQ(kBlockBytes, 64u);
 }
 
-/** The textbook bitwise CRC-32: the reference the table code must match. */
+/** The textbook bitwise CRC-32: the reference both kernels must match. */
 std::uint32_t
 bitwiseCrcStep(std::uint32_t state, const unsigned char* p, std::size_t n)
 {
@@ -249,10 +251,42 @@ randomBytes(std::size_t n, std::uint64_t seed)
     return v;
 }
 
+/** Bytes 0, 1, ..., 255: long enough for the fold kernel. */
+std::vector<unsigned char>
+byteRamp()
+{
+    std::vector<unsigned char> v(256);
+    for (std::size_t i = 0; i < v.size(); ++i)
+        v[i] = static_cast<unsigned char>(i);
+    return v;
+}
+
+/**
+ * 1000 patterned bytes: fifteen 64-byte blocks, two 16-byte blocks and
+ * an 8-byte tail, so each part of the fold kernel contributes.
+ */
+std::vector<unsigned char>
+pattern1000()
+{
+    std::vector<unsigned char> v(1000);
+    for (std::size_t i = 0; i < v.size(); ++i)
+        v[i] = static_cast<unsigned char>(i * 31 + 7);
+    return v;
+}
+
+// Check values of the byte ramp and the pattern, as computed by zlib's
+// crc32 (an implementation independent of this one).
+constexpr std::uint32_t kRampCrc = 0x29058C73u;
+constexpr std::uint32_t kPatternCrc = 0x8902161Eu;
+
 TEST(Crc32Test, StandardCheckValue)
 {
     EXPECT_EQ(Crc32::of("123456789", 9), 0xCBF43926u);
     EXPECT_EQ(Crc32::of(nullptr, 0), 0u);
+    const auto ramp = byteRamp();
+    EXPECT_EQ(Crc32::of(ramp.data(), ramp.size()), kRampCrc);
+    const auto pattern = pattern1000();
+    EXPECT_EQ(Crc32::of(pattern.data(), pattern.size()), kPatternCrc);
 }
 
 TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
@@ -291,6 +325,105 @@ TEST(Crc32Test, IncrementalUpdatesMatchOneShotAtRandomSplits)
         ASSERT_EQ(crc.value(), want) << "trial " << trial;
     }
 }
+
+/** One CRC-32 kernel, run on its own rather than through Crc32. */
+struct Crc32KernelCase
+{
+    const char* name;
+    std::uint32_t (*run)(std::uint32_t, const void*, std::size_t);
+    bool (*available)();
+};
+
+/** Names the case in test listings (not its function addresses). */
+void
+PrintTo(const Crc32KernelCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+bool
+alwaysAvailable()
+{
+    return true;
+}
+
+class Crc32KernelTest : public ::testing::TestWithParam<Crc32KernelCase>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!GetParam().available())
+            GTEST_SKIP() << GetParam().name
+                         << " kernel needs PCLMULQDQ and SSE4.1, which "
+                            "this CPU lacks";
+    }
+
+    std::uint32_t
+    run(std::uint32_t state, const void* data, std::size_t size) const
+    {
+        return GetParam().run(state, data, size);
+    }
+};
+
+TEST_P(Crc32KernelTest, CheckValues)
+{
+    EXPECT_EQ(~run(0xFFFFFFFFu, "123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(~run(0xFFFFFFFFu, nullptr, 0), 0u);
+    const auto ramp = byteRamp();
+    EXPECT_EQ(~run(0xFFFFFFFFu, ramp.data(), ramp.size()), kRampCrc);
+    const auto pattern = pattern1000();
+    EXPECT_EQ(~run(0xFFFFFFFFu, pattern.data(), pattern.size()),
+              kPatternCrc);
+}
+
+TEST_P(Crc32KernelTest, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    constexpr std::size_t kMaxLen = 4096;
+    const auto bytes = randomBytes(kMaxLen + 16, 0xC4C32);
+    Rng rng(0xF01D);
+    for (std::size_t align = 0; align < 16; ++align) {
+        const unsigned char* base = bytes.data() + align;
+        // Alignment 0 starts from the initial register, the others from
+        // arbitrary states, as a mid-stream update would.
+        const auto start = align == 0 ? 0xFFFFFFFFu
+                                      : static_cast<std::uint32_t>(rng.next());
+        std::uint32_t ref = start;
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            if (len > 0)
+                ref = bitwiseCrcStep(ref, base + len - 1, 1);
+            ASSERT_EQ(run(start, base, len), ref)
+                << "align " << align << " len " << len;
+        }
+    }
+}
+
+TEST_P(Crc32KernelTest, IncrementalSplitsFromArbitraryStateMatchReference)
+{
+    Rng rng(78);
+    for (int trial = 0; trial < 500; ++trial) {
+        const std::size_t len = rng.below(4097);
+        const auto bytes = randomBytes(len, rng.next());
+        const auto start = static_cast<std::uint32_t>(rng.next());
+        const std::uint32_t want = bitwiseCrcStep(start, bytes.data(), len);
+        std::uint32_t state = start;
+        std::size_t at = 0;
+        while (at < len) {
+            const std::size_t piece = rng.below(len - at + 1);
+            state = run(state, bytes.data() + at, piece);
+            at += piece;
+        }
+        ASSERT_EQ(state, want) << "trial " << trial;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32KernelTest,
+    ::testing::Values(
+        Crc32KernelCase{"Table", detail::crc32Table, alwaysAvailable},
+        Crc32KernelCase{"Fold", detail::crc32Fold,
+                        detail::crc32FoldAvailable}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 } // namespace
 } // namespace mrp
