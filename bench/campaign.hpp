@@ -6,7 +6,7 @@
  * pure view of the results.
  *
  * Requests name traces by canonical Suite/HeldOut specs, so
- * queue::requestJson is their identity key and MPPPB variants travel
+ * runner::requestJson is their identity key and MPPPB variants travel
  * as PolicySpec::mpppb data. At run time each spec is swapped for a
  * borrowed view of one trace the campaign generated once.
  *
@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "prof/clock.hpp"
-#include "queue/wire.hpp"
 #include "runner/experiment_runner.hpp"
+#include "runner/request_json.hpp"
 #include "sim/multi_core.hpp"
 #include "trace/mix.hpp"
 #include "trace/workloads.hpp"
@@ -131,7 +131,7 @@ class Campaign
     {
         ++requested_;
         const auto [it, fresh] =
-            ids_.try_emplace(queue::requestJson(request), batch_.size());
+            ids_.try_emplace(runner::requestJson(request), batch_.size());
         if (fresh)
             batch_.push_back(std::move(request));
         return it->second;

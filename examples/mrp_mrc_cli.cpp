@@ -49,7 +49,7 @@
 #include "mrc/profile.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/report.hpp"
-#include "sweep_cli_common.hpp"
+#include "sweep/objective.hpp"
 
 namespace {
 
@@ -70,6 +70,23 @@ usage()
         "       [--suggest-partition --llc-kb N --llc-ways W\n"
         "        [--min-ways M] [--knee-fraction F]]\n");
     return 2;
+}
+
+std::vector<std::string>
+splitCommas(const std::string& s)
+{
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos <= s.size()) {
+        const auto comma = s.find(',', pos);
+        if (comma == std::string::npos) {
+            out.push_back(s.substr(pos));
+            break;
+        }
+        out.push_back(s.substr(pos, comma - pos));
+        pos = comma + 1;
+    }
+    return out;
 }
 
 struct Options
@@ -96,8 +113,8 @@ buildCorpus(const Options& o)
     for (const unsigned w : o.workloads)
         corpus.push_back(trace::TraceSpec::suite(w, o.insts, o.seed));
     for (std::size_t f = 0; f < o.corpusFamilies.size(); ++f)
-        corpus.push_back(cli::corpusFamilySpec(o.corpusFamilies[f],
-                                               o.insts, o.seed + f));
+        corpus.push_back(sweep::corpusFamilySpec(o.corpusFamilies[f],
+                                                 o.insts, o.seed + f));
     fatalIf(corpus.empty(), ErrorCode::Config,
             "need --workloads and/or --corpus");
     return corpus;
@@ -171,18 +188,18 @@ run(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--workloads") {
-            for (const auto& w : cli::splitCommas(next()))
+            for (const auto& w : splitCommas(next()))
                 o.workloads.push_back(static_cast<unsigned>(
                     std::strtoul(w.c_str(), nullptr, 10)));
         } else if (arg == "--corpus") {
-            o.corpusFamilies = cli::splitCommas(next());
+            o.corpusFamilies = splitCommas(next());
         } else if (arg == "--insts") {
             o.insts = std::strtoull(next(), nullptr, 10);
             fatalIf(o.insts == 0, "--insts must be positive");
         } else if (arg == "--seed") {
             o.seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--sizes-kb") {
-            for (const auto& s : cli::splitCommas(next()))
+            for (const auto& s : splitCommas(next()))
                 o.mrc.sizesBytes.push_back(
                     std::strtoull(s.c_str(), nullptr, 10) * 1024);
         } else if (arg == "--mode") {

@@ -81,9 +81,7 @@ FeatureSpec
 FeatureSpec::parse(const std::string& text)
 {
     const auto open = text.find('(');
-    const auto close = text.rfind(')');
-    fatalIf(open == std::string::npos || close == std::string::npos ||
-                close < open,
+    fatalIf(open == std::string::npos || text.back() != ')',
             "malformed feature: " + text);
     const std::string name = text.substr(0, open);
 
@@ -105,15 +103,23 @@ FeatureSpec::parse(const std::string& text)
     else
         fatal("unknown feature kind: " + name);
 
+    // Parameters in the exact form toString() writes: plain decimal,
+    // no sign, blank or leading zero, so parse(s).toString() == s.
     std::vector<unsigned> args;
-    std::istringstream is(text.substr(open + 1, close - open - 1));
+    std::istringstream is(text.substr(open + 1, text.size() - open - 2));
     std::string tok;
-    while (std::getline(is, tok, ','))
+    while (std::getline(is, tok, ',')) {
+        fatalIf(tok.empty() || tok.size() > 9 ||
+                    (tok.size() > 1 && tok[0] == '0') ||
+                    tok.find_first_not_of("0123456789") !=
+                        std::string::npos,
+                "malformed parameter '" + tok + "' in feature: " + text);
         args.push_back(static_cast<unsigned>(std::stoul(tok)));
+    }
 
     const std::size_t expected =
         f.kind == FeatureKind::Pc ? 5 : (hasBitRange(f.kind) ? 4 : 2);
-    fatalIf(args.size() != expected,
+    fatalIf(args.size() != expected || text[text.size() - 2] == ',',
             "wrong parameter count in feature: " + text);
 
     std::size_t i = 0;
@@ -124,6 +130,7 @@ FeatureSpec::parse(const std::string& text)
     }
     if (f.kind == FeatureKind::Pc)
         f.depth = args[i++];
+    fatalIf(args[i] > 1, "xor flag must be 0 or 1 in feature: " + text);
     f.xorPc = args[i++] != 0;
     fatalIf(f.assoc == 0 || f.assoc > kMaxFeatureAssoc,
             "feature associativity out of range: " + text);

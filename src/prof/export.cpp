@@ -89,28 +89,6 @@ phaseTreeJson(const PhaseStat& p, int indent)
     return out;
 }
 
-PhaseStat
-phaseTreeFromJson(const json::Value& v, const std::string& what)
-{
-    fatalIf(!v.isObject(), ErrorCode::CorruptInput,
-            what + ": phase must be a JSON object");
-    PhaseStat p;
-    p.label =
-        v.require("label", json::Value::Type::String, what).string;
-    p.count =
-        v.require("count", json::Value::Type::Number, what).asU64();
-    p.inclusiveSeconds =
-        v.require("inclusiveSeconds", json::Value::Type::Number, what)
-            .number;
-    p.exclusiveSeconds =
-        v.require("exclusiveSeconds", json::Value::Type::Number, what)
-            .number;
-    for (const auto& c :
-         v.require("children", json::Value::Type::Array, what).array)
-        p.children.push_back(phaseTreeFromJson(c, what));
-    return p;
-}
-
 std::string
 benchJson(const std::string& name, const std::vector<BenchRun>& runs,
           const MachineInfo& machine, const std::string& sha)

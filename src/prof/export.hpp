@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "prof/profiler.hpp"
-#include "util/json_reader.hpp"
 
 namespace mrp::prof {
 
@@ -66,16 +65,6 @@ std::string benchJson(const std::string& name,
  * object starts at (children indent four further).
  */
 std::string phaseTreeJson(const PhaseStat& p, int indent);
-
-/**
- * Inverse of phaseTreeJson (and of the "phases" object inside a
- * `--prof-out` document). Malformed input — missing keys, wrong types at
- * any depth — throws FatalError(ErrorCode::CorruptInput). The
- * shortest-round-trip double formatter makes
- * phaseTreeJson(phaseTreeFromJson(x)) byte-identical to x.
- */
-PhaseStat phaseTreeFromJson(const json::Value& v,
-                            const std::string& what);
 
 /**
  * Append the phase tree of @p run as Chrome trace_event "X" events to

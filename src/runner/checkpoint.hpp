@@ -76,9 +76,8 @@ std::string journalLine(const RunResult& result);
 std::optional<RunResult> parseJournalLine(const std::string& line);
 
 /** JSON body of one result (what journalLine frames with a checksum).
- * Deterministic fields only — the queue wire protocol reuses this
- * exact form, so a worker's RESULT payload and a journal entry are
- * the same bytes. */
+ * Deterministic fields only, so a resumed batch restores exactly the
+ * bytes an uninterrupted run would have reported. */
 std::string resultJson(const RunResult& result);
 
 /** Parse a resultJson body; std::nullopt on schema mismatch. */

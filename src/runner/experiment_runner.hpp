@@ -23,7 +23,6 @@
 
 #include <vector>
 
-#include "runner/executor.hpp"
 #include "runner/run_request.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -91,14 +90,12 @@ struct RunnerOptions
      * Optional metrics sink. When set, the batch records
      * runner.completed / runner.failed / runner.skipped (resume
      * prefill) / runner.retries counters — observation-only, never
-     * part of the deterministic report surface. The queue broker
-     * records the same counters for its batches, so a broker
-     * --metrics-out covers runner.* and queue.* alike.
+     * part of the deterministic report surface.
      */
     telemetry::MetricsRegistry* metrics = nullptr;
 };
 
-class ExperimentRunner : public Executor
+class ExperimentRunner
 {
   public:
     /**
@@ -123,7 +120,7 @@ class ExperimentRunner : public Executor
     /** As above with the durability options (journal, resume,
      * watchdog, retries). */
     RunSet run(const std::vector<RunRequest>& batch,
-               const RunnerOptions& options) const override;
+               const RunnerOptions& options) const;
 
     /** Execute one request in the calling thread (index 0). */
     static RunResult runOne(const RunRequest& request,

@@ -1,13 +1,12 @@
-#include "queue/wire.hpp"
+#include "runner/request_json.hpp"
 
 #include <climits>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
-namespace mrp::queue {
+namespace mrp::runner {
 
 namespace {
 
@@ -15,23 +14,7 @@ using json::Value;
 
 // --- require helpers over the generic JSON tree ---------------------
 
-/**
- * @p n as a whole number in [lo, hi], else CorruptInput: casting a
- * NaN, infinite or out-of-range double to an integer type is
- * undefined behaviour, and a fraction is not a count.
- */
-double
-wholeNumber(const Value& n, double lo, double hi, std::string_view name,
-            const std::string& what)
-{
-    fatalIf(!n.isNumber() || !(n.number >= lo && n.number <= hi) ||
-                n.number != std::trunc(n.number),
-            ErrorCode::CorruptInput,
-            what + ": " + std::string(name) +
-                " must be a whole number in [" + json::formatDouble(lo) +
-                ", " + json::formatDouble(hi) + "]");
-    return n.number;
-}
+using json::wholeNumber;
 
 double
 reqWhole(const Value& v, std::string_view key, const std::string& what,
@@ -61,11 +44,15 @@ reqUnsigned(const Value& v, std::string_view key,
     return static_cast<unsigned>(reqWhole(v, key, what, 0, UINT_MAX));
 }
 
+/** A finite number: formatDouble writes no JSON for NaN or inf. */
 double
 reqDouble(const Value& v, std::string_view key,
           const std::string& what)
 {
-    return v.require(key, Value::Type::Number, what).number;
+    const double d = v.require(key, Value::Type::Number, what).number;
+    fatalIf(!std::isfinite(d), ErrorCode::CorruptInput,
+            what + ": " + std::string(key) + " must be finite");
+    return d;
 }
 
 bool
@@ -151,6 +138,13 @@ mpppbJson(const core::MpppbConfig& c)
 core::MpppbConfig
 mpppbFromJson(const Value& v, const std::string& what)
 {
+    v.requireOnly({"features", "sampledSetsPerCore", "samplerAssoc",
+                   "weightBits", "confidenceClamp", "trainingThreshold",
+                   "substrate", "tauBypass", "tau", "pi", "tauNoPromote",
+                   "bypassEnabled", "dynamicBypass", "duelingPeriod",
+                   "pselBits", "mdppInsertPos", "mdppPromotePos",
+                   "srripBits", "srripInsertRrpv", "srripHitRrpv"},
+                  what);
     core::MpppbConfig c;
     c.predictor.features.clear();
     for (const auto& f : reqArr(v, "features", what).array) {
@@ -163,7 +157,7 @@ mpppbFromJson(const Value& v, const std::string& what)
         reqUnsigned(v, "sampledSetsPerCore", what);
     c.predictor.samplerAssoc = reqUnsigned(v, "samplerAssoc", what);
     // The predictor's own bounds, so a bad payload is corrupt input
-    // rather than a configuration error in the worker.
+    // rather than a configuration error when the policy is built.
     c.predictor.weightBits =
         static_cast<unsigned>(reqWhole(v, "weightBits", what, 1, 8));
     c.predictor.confidenceClamp = static_cast<int>(
@@ -240,7 +234,7 @@ hierarchyJson(const cache::HierarchyConfig& h)
 
 /**
  * One cache level's geometry, rejected with CorruptInput where the
- * cache constructors would abort: the bytes come from another process.
+ * cache constructors would abort: the bytes are untrusted input.
  */
 void
 readGeometry(const Value& v, const char* prefix, Addr& bytes,
@@ -262,6 +256,11 @@ readGeometry(const Value& v, const char* prefix, Addr& bytes,
 cache::HierarchyConfig
 hierarchyFromJson(const Value& v, const std::string& what)
 {
+    v.requireOnly({"cores", "l1Bytes", "l1Ways", "l2Bytes", "l2Ways",
+                   "llcBytes", "llcWays", "l1Latency", "l2Latency",
+                   "llcLatency", "memLatency", "prefetchEnabled",
+                   "prefetcher"},
+                  what);
     cache::HierarchyConfig h;
     const std::uint64_t cores = reqU64(v, "cores", what);
     const unsigned max_cores = cache::HierarchyConfig::kMaxCores;
@@ -282,6 +281,7 @@ hierarchyFromJson(const Value& v, const std::string& what)
     h.memLatency = reqU64(v, "memLatency", what);
     h.prefetchEnabled = reqBool(v, "prefetchEnabled", what);
     const auto& p = reqObj(v, "prefetcher", what);
+    p.requireOnly({"streams", "degree", "distance", "window"}, what);
     const std::uint64_t streams = reqU64(p, "streams", what);
     const unsigned max_streams = prefetch::StreamPrefetcher::kMaxStreams;
     fatalIf(streams == 0 || streams > max_streams,
@@ -351,14 +351,19 @@ tenancyJson(const tenant::TenancyConfig& t)
 tenant::TenancyConfig
 tenancyFromJson(const Value& v, const std::string& what)
 {
+    v.requireOnly({"tenants", "qos"}, what);
     tenant::TenancyConfig t;
     for (const auto& e : reqArr(v, "tenants", what).array) {
+        e.requireOnly({"ways", "sloMpki"}, what);
         tenant::TenantConfig tc;
         tc.ways = reqUnsigned(e, "ways", what);
         tc.sloMpki = reqDouble(e, "sloMpki", what);
         t.tenants.push_back(tc);
     }
     const auto& q = reqObj(v, "qos", what);
+    q.requireOnly({"enabled", "epochInstructions", "breachEpochs",
+                   "calmEpochs", "hysteresisFrac", "minWays"},
+                  what);
     t.qos.enabled = reqBool(q, "enabled", what);
     t.qos.epochInstructions = reqU64(q, "epochInstructions", what);
     t.qos.breachEpochs = reqUnsigned(q, "breachEpochs", what);
@@ -368,100 +373,22 @@ tenancyFromJson(const Value& v, const std::string& what)
     return t;
 }
 
-// --- line-protocol helpers ------------------------------------------
-
-/** Full-string unsigned parse; nullopt on anything else. */
-std::optional<std::uint64_t>
-parseU64Token(const std::string& s)
-{
-    if (s.empty())
-        return std::nullopt;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
-        return std::nullopt;
-    return static_cast<std::uint64_t>(v);
-}
-
-/**
- * Strip "<verb> <id> " plus @p hex_ids space-separated hex16 tokens
- * (two for JOB: trace then span; one for RESULT/OBS: span) and
- * checksum-verify the rest.
- */
-std::optional<FramedMsg>
-parseFramed(const std::string& line, const std::string& verb,
-            unsigned hex_ids)
-{
-    const std::string prefix = verb + " ";
-    if (line.rfind(prefix, 0) != 0)
-        return std::nullopt;
-    const std::size_t id_end = line.find(' ', prefix.size());
-    if (id_end == std::string::npos)
-        return std::nullopt;
-    const auto id =
-        parseU64Token(line.substr(prefix.size(),
-                                  id_end - prefix.size()));
-    if (!id)
-        return std::nullopt;
-    FramedMsg msg;
-    msg.jobId = *id;
-    std::size_t pos = id_end + 1;
-    std::uint64_t ids[2] = {0, 0};
-    for (unsigned i = 0; i < hex_ids; ++i) {
-        const std::size_t end = line.find(' ', pos);
-        if (end == std::string::npos)
-            return std::nullopt;
-        const auto v = obs::parseHex16(
-            std::string_view(line).substr(pos, end - pos));
-        if (!v)
-            return std::nullopt;
-        ids[i] = *v;
-        pos = end + 1;
-    }
-    if (hex_ids == 2) {
-        msg.traceId = ids[0];
-        msg.spanId = ids[1];
-    } else {
-        msg.spanId = ids[0];
-    }
-    auto body = journal::unframeLine(line.substr(pos));
-    if (!body)
-        return std::nullopt;
-    msg.json = std::move(*body);
-    return msg;
-}
-
-std::string
-framedLine(const std::string& verb, std::uint64_t job_id,
-           const std::string& hex_ids, const std::string& json)
-{
-    // A payload with a raw newline would silently shear into
-    // unparsable line fragments on the pipe; fail the writer instead.
-    fatalIf(json.find('\n') != std::string::npos, ErrorCode::Config,
-            verb + " payload must be a single line");
-    std::string framed = journal::frameLine(json);
-    framed.pop_back(); // frameLine appends the journal newline
-    return verb + " " + std::to_string(job_id) + " " + hex_ids + " " +
-           framed;
-}
-
 } // namespace
 
 std::string
-requestJson(const runner::RunRequest& request)
+requestJson(const RunRequest& request)
 {
     fatalIf(static_cast<bool>(request.policy.factory),
             ErrorCode::Config,
             "policy \"" + request.policy.name +
-                "\" holds a factory closure and cannot cross a "
-                "process boundary; use PolicySpec::mpppb or a "
-                "registry name");
+                "\" holds a factory closure, which has no JSON "
+                "identity; use PolicySpec::mpppb or a registry name");
     const bool telemetry = std::visit(
         [](const auto& c) { return c.telemetry.enabled; },
         request.config);
     fatalIf(telemetry, ErrorCode::Config,
-            "telemetry-enabled runs cannot be queued: RunTelemetry "
-            "has no wire form (run them in-process)");
+            "telemetry-enabled runs have no JSON identity: "
+            "RunTelemetry is a process-local object graph");
 
     std::string out = "{" + json::key("mode") +
                       json::str(request.isMultiCore() ? "multi"
@@ -486,8 +413,8 @@ requestJson(const runner::RunRequest& request)
             std::get<sim::MultiCoreConfig>(request.config);
         out += driverJson(c) + ", " + json::key("measureCycles") +
                std::to_string(c.measureCycles);
-        // Tenancy travels only when configured, so non-tenant job
-        // payloads stay byte-identical to the previous schema.
+        // Tenancy is written only when configured, so non-tenant
+        // documents stay byte-identical to the pre-tenancy schema.
         if (c.tenancy.configured())
             out += ", " + json::key("tenancy") +
                    tenancyJson(c.tenancy);
@@ -501,12 +428,13 @@ requestJson(const runner::RunRequest& request)
     return out;
 }
 
-runner::RunRequest
+RunRequest
 requestFromJson(const json::Value& v, const std::string& what)
 {
     fatalIf(!v.isObject(), ErrorCode::CorruptInput,
             what + ": request must be a JSON object");
-    runner::RunRequest r;
+    v.requireOnly({"mode", "label", "policy", "sources", "config"}, what);
+    RunRequest r;
     const std::string& mode = reqStr(v, "mode", what);
     fatalIf(mode != "single" && mode != "multi",
             ErrorCode::CorruptInput,
@@ -514,12 +442,13 @@ requestFromJson(const json::Value& v, const std::string& what)
     r.label = reqStr(v, "label", what);
 
     const auto& pol = reqObj(v, "policy", what);
+    pol.requireOnly({"name", "mpppb"}, what);
     const std::string& name = reqStr(pol, "name", what);
     if (const auto* m = pol.get("mpppb"))
-        r.policy = runner::PolicySpec::mpppb(
+        r.policy = PolicySpec::mpppb(
             mpppbFromJson(*m, what + " policy"));
     else
-        r.policy = runner::PolicySpec::byName(name);
+        r.policy = PolicySpec::byName(name);
     r.policy.name = name;
 
     const auto& srcs = reqArr(v, "sources", what).array;
@@ -536,6 +465,10 @@ requestFromJson(const json::Value& v, const std::string& what)
 
     const auto& cfg = reqObj(v, "config", what);
     if (mode == "multi") {
+        cfg.requireOnly({"hierarchy", "warmupFraction",
+                         "warmupInstructions", "seed", "measureCycles",
+                         "tenancy"},
+                        what);
         sim::MultiCoreConfig c;
         driverFromJson(cfg, what, c);
         c.measureCycles = reqU64(cfg, "measureCycles", what);
@@ -543,6 +476,9 @@ requestFromJson(const json::Value& v, const std::string& what)
             c.tenancy = tenancyFromJson(*t, what + " tenancy");
         r.config = std::move(c);
     } else {
+        cfg.requireOnly({"hierarchy", "warmupFraction",
+                         "warmupInstructions", "seed"},
+                        what);
         sim::SingleCoreConfig c;
         driverFromJson(cfg, what, c);
         r.config = c;
@@ -550,104 +486,10 @@ requestFromJson(const json::Value& v, const std::string& what)
     return r;
 }
 
-runner::RunRequest
+RunRequest
 requestFromJson(const std::string& text, const std::string& what)
 {
     return requestFromJson(json::parseJson(text, what), what);
 }
 
-std::string
-helloLine(std::uint64_t pid)
-{
-    return "HELLO " + std::to_string(pid) + " " +
-           std::to_string(kWireSchemaVersion);
-}
-
-std::string
-heartbeatLine(std::uint64_t job_id, std::uint64_t span_id,
-              std::uint64_t seq)
-{
-    return "HB " + std::to_string(job_id) + " " +
-           obs::hex16(span_id) + " " + std::to_string(seq);
-}
-
-std::string
-jobLine(std::uint64_t job_id, const obs::SpanContext& ctx,
-        const std::string& request_json)
-{
-    return framedLine("JOB", job_id,
-                      obs::hex16(ctx.traceId) + " " +
-                          obs::hex16(ctx.spanId),
-                      request_json);
-}
-
-std::string
-resultLine(std::uint64_t job_id, std::uint64_t span_id,
-           const std::string& result_json)
-{
-    return framedLine("RESULT", job_id, obs::hex16(span_id),
-                      result_json);
-}
-
-std::string
-obsLine(std::uint64_t job_id, std::uint64_t span_id,
-        const std::string& obs_json)
-{
-    return framedLine("OBS", job_id, obs::hex16(span_id), obs_json);
-}
-
-std::optional<HelloMsg>
-parseHello(const std::string& line)
-{
-    if (line.rfind("HELLO ", 0) != 0)
-        return std::nullopt;
-    const std::size_t sep = line.find(' ', 6);
-    if (sep == std::string::npos)
-        return std::nullopt;
-    const auto pid = parseU64Token(line.substr(6, sep - 6));
-    const auto schema = parseU64Token(line.substr(sep + 1));
-    if (!pid || !schema)
-        return std::nullopt;
-    return HelloMsg{*pid, static_cast<unsigned>(*schema)};
-}
-
-std::optional<HeartbeatMsg>
-parseHeartbeat(const std::string& line)
-{
-    if (line.rfind("HB ", 0) != 0)
-        return std::nullopt;
-    const std::size_t span_sep = line.find(' ', 3);
-    if (span_sep == std::string::npos)
-        return std::nullopt;
-    const std::size_t seq_sep = line.find(' ', span_sep + 1);
-    if (seq_sep == std::string::npos)
-        return std::nullopt;
-    const auto id = parseU64Token(line.substr(3, span_sep - 3));
-    const auto span = obs::parseHex16(
-        std::string_view(line).substr(span_sep + 1,
-                                      seq_sep - span_sep - 1));
-    const auto seq = parseU64Token(line.substr(seq_sep + 1));
-    if (!id || !span || !seq)
-        return std::nullopt;
-    return HeartbeatMsg{*id, *span, *seq};
-}
-
-std::optional<FramedMsg>
-parseJob(const std::string& line)
-{
-    return parseFramed(line, "JOB", 2);
-}
-
-std::optional<FramedMsg>
-parseResult(const std::string& line)
-{
-    return parseFramed(line, "RESULT", 1);
-}
-
-std::optional<FramedMsg>
-parseObs(const std::string& line)
-{
-    return parseFramed(line, "OBS", 1);
-}
-
-} // namespace mrp::queue
+} // namespace mrp::runner

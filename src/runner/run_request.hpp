@@ -43,11 +43,11 @@ namespace mrp::runner {
  * selects the two-pass Belady oracle, which is valid for single-core
  * requests only.
  *
- * The data-payload form exists for the distributed queue: a factory
- * is a closure and cannot cross a process boundary, while an
- * MpppbConfig serializes (see queue/wire.hpp) and is resolved to a
- * factory at execution time — in this process or a worker — so sweep
- * candidates run identically everywhere.
+ * The data-payload form gives an MPPPB variant a data identity: a
+ * factory is a closure and has none, while an MpppbConfig serializes
+ * (see runner/request_json.hpp) and is resolved to a factory at
+ * execution time. So a campaign can deduplicate identical MPPPB
+ * variants, and a sweep candidate is a value.
  */
 struct PolicySpec
 {

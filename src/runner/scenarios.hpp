@@ -8,9 +8,9 @@
  * campaign).
  *
  * Like every figure in this repo, a campaign is data, not loops in a
- * bench: the builders emit plain RunRequests, so one batch runs
- * in-process, across threads, or on the distributed queue unchanged,
- * and its report is byte-identical at any --jobs.
+ * bench: the builders emit plain RunRequests, so one batch runs on
+ * the ExperimentRunner unchanged, and its report is byte-identical at
+ * any --jobs.
  */
 
 #ifndef MRP_RUNNER_SCENARIOS_HPP

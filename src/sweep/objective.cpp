@@ -1,6 +1,7 @@
 #include "sweep/objective.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "cache/geometry.hpp"
 #include "trace/workloads.hpp"
@@ -121,8 +122,8 @@ CorpusMpkiObjective::requests(const core::MpppbConfig& cfg,
                               InstCount budget_insts)
 {
     const auto& ts = evaluator_->specs(budget_insts);
-    // Carried as data (not a factory closure) so the requests can
-    // cross a process boundary to queue workers unchanged.
+    // Carried as data (not a factory closure) so each request has a
+    // JSON identity (runner::requestJson).
     const auto spec = runner::PolicySpec::mpppb(cfg);
     std::vector<runner::RunRequest> out;
     out.reserve(ts.size());
@@ -149,6 +150,45 @@ CorpusMpkiObjective::score(
                            ? geomean(mpkis)
                            : mean(mpkis);
     return {-agg, agg};
+}
+
+trace::TraceSpec
+corpusFamilySpec(const std::string& name, InstCount insts,
+                 std::uint64_t seed)
+{
+    if (name == "zipf" || name.rfind("zipf:", 0) == 0) {
+        trace::ZipfParams p;
+        p.instructions = insts;
+        p.seed = seed;
+        if (name.size() > 5) {
+            p.theta = std::atof(name.c_str() + 5);
+            p.name = name;
+        }
+        return trace::TraceSpec::zipf(p);
+    }
+    if (name == "blkio") {
+        trace::BlockIoParams p;
+        p.instructions = insts;
+        p.seed = seed;
+        return trace::TraceSpec::blockIo(p);
+    }
+    if (name == "phase") {
+        trace::ZipfParams zp;
+        zp.instructions = insts;
+        zp.seed = seed;
+        trace::BlockIoParams bp;
+        bp.instructions = insts;
+        bp.seed = seed + 1;
+        std::vector<trace::TraceSpec> kids;
+        kids.push_back(trace::TraceSpec::zipf(zp));
+        kids.push_back(trace::TraceSpec::blockIo(bp));
+        return trace::TraceSpec::phaseMix(
+            "phase", insts, std::max<InstCount>(insts / 8, 1),
+            std::move(kids));
+    }
+    fatal(ErrorCode::Config,
+          "unknown --corpus family '" + name +
+              "' (want zipf[:THETA], blkio, or phase)");
 }
 
 } // namespace mrp::sweep

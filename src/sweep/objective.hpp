@@ -73,6 +73,16 @@ struct CorpusConfig
 };
 
 /**
+ * One streaming-family corpus member at @p insts instructions, the
+ * vocabulary of the sweep and MRC CLIs' --corpus flag: "zipf" or
+ * "zipf:THETA", "blkio", or "phase" (a Zipf then block-I/O phase mix
+ * seeded @p seed and @p seed + 1). Any other name throws
+ * FatalError(ErrorCode::Config).
+ */
+trace::TraceSpec corpusFamilySpec(const std::string& name,
+                                  InstCount insts, std::uint64_t seed);
+
+/**
  * Holds the corpus specs (budget rungs cached per instruction count)
  * and evaluates policies over them through the ExperimentRunner. Not
  * thread-safe; the Study drives it from one thread and parallelism

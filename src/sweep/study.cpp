@@ -11,7 +11,6 @@
 #include "runner/checkpoint.hpp"
 #include "runner/experiment_runner.hpp"
 #include "util/crc32.hpp"
-#include "util/journal.hpp"
 #include "util/json_writer.hpp"
 #include "util/logging.hpp"
 #include "util/math_util.hpp"
@@ -35,6 +34,16 @@ hex8(std::uint32_t v)
     return buf;
 }
 
+/**
+ * Schema tag folded into every study fingerprint as "|qschema2". The
+ * number once versioned the record schema of a multi-process work
+ * queue; it stays so that the fingerprint text is unchanged: existing
+ * --journal files still --resume, and the report's "fingerprint"
+ * field keeps its value. Bump it only to make every existing study
+ * journal unresumable on purpose.
+ */
+constexpr unsigned kFingerprintSchema = 2;
+
 std::string
 candidateKey(const SearchSpace& space, const Candidate& c)
 {
@@ -56,14 +65,13 @@ Study::Study(const SearchSpace& space, Strategy& strategy,
 std::string
 Study::fingerprint() const
 {
-    // The queue schema version is part of the identity: a journal
-    // written before the work-queue era (or after an incompatible
-    // schema bump) fingerprints differently, so resume refuses it
-    // with a typed Config error instead of silently misreading it.
+    // The schema tag is part of the identity: a journal written under
+    // another tag fingerprints differently, so resume refuses it with
+    // a typed Config error instead of silently misreading it.
     const std::string text =
         space_.spaceJson() + "|" + strategy_.name() + "|" +
         objective_.name() + "|" + std::to_string(cfg_.seed) +
-        "|qschema" + std::to_string(journal::kQueueSchemaVersion);
+        "|qschema" + std::to_string(kFingerprintSchema);
     return hex8(Crc32::of(text.data(), text.size()));
 }
 
@@ -121,11 +129,7 @@ Study::run()
         journal = std::make_unique<runner::CheckpointJournal>(
             cfg_.journalPath);
 
-    const runner::ExperimentRunner pool(
-        cfg_.executor ? 1 : cfg_.jobs);
-    const runner::Executor& exec =
-        cfg_.executor ? *cfg_.executor
-                      : static_cast<const runner::Executor&>(pool);
+    const runner::ExperimentRunner pool(cfg_.jobs);
     // Keys proposed by an earlier candidate id; drives the `cached`
     // flag, which therefore survives kill/resume unchanged.
     std::unordered_set<std::string> seen;
@@ -204,7 +208,7 @@ Study::run()
                 runner::RunnerOptions ropts;
                 ropts.journalPath = raw_path;
                 MRP_PROF_SCOPE("sweep.simulate");
-                const auto set = exec.run(to_run, ropts);
+                const auto set = pool.run(to_run, ropts);
                 for (std::size_t j = 0; j < set.results.size(); ++j)
                     finals[slot[j]] = set.results[j];
             }

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "runner/executor.hpp"
 #include "sweep/objective.hpp"
 #include "sweep/strategy.hpp"
 
@@ -45,17 +44,9 @@ struct StudyConfig
     /** Strategy/report seed; also stamped into every run's
      * DriverConfig::seed for provenance. */
     std::uint64_t seed = 0;
-    /** Runner worker threads (0 = hardware concurrency). Ignored when
-     * `executor` is set. */
+    /** Runner worker threads (0 = hardware concurrency). The report
+     * is byte-identical at every value, also across resumes. */
     unsigned jobs = 0;
-    /**
-     * Execution vehicle for each generation's batch (non-owning; must
-     * outlive the study). Null = an internal in-process
-     * ExperimentRunner with `jobs` threads. The deterministic report
-     * is byte-identical for every executor — threads, the queue
-     * broker at any worker count, or a mix across resumes.
-     */
-    const runner::Executor* executor = nullptr;
     /** Candidate journal path; empty = no durability. The raw-run
      * journal lives at journalPath + ".runs". */
     std::string journalPath;

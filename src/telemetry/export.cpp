@@ -46,17 +46,14 @@ appendHistogramJson(std::string& out, const HistogramSnapshot& h)
     out += ", \"sum\": " + std::to_string(h.sum) + "}";
 }
 
-/** One `"section": { ... }` of name->value lines. */
+/** One `,\n"section": { ... }` of name->value lines. */
 template <typename Pred, typename Emit>
 void
 appendSection(std::string& out, const Snapshot& snap,
               const std::string& section, const std::string& indent,
-              bool& first_section, Pred pred, Emit emit)
+              Pred pred, Emit emit)
 {
-    if (!first_section)
-        out += ",\n";
-    first_section = false;
-    out += indent + "  \"" + section + "\": {";
+    out += ",\n" + indent + "  \"" + section + "\": {";
     bool first = true;
     for (const auto& m : snap.metrics) {
         if (!pred(m))
@@ -71,27 +68,26 @@ appendSection(std::string& out, const Snapshot& snap,
     out += "}";
 }
 
-/** The three counters/gauges/histograms sections, shared between
- * metricsJson and snapshotJson. */
+/** The three counters/gauges/histograms sections. */
 void
 appendSnapshotSections(std::string& out, const Snapshot& snap,
-                       const std::string& indent, bool& first_section)
+                       const std::string& indent)
 {
     using Kind = MetricSnapshot::Kind;
     appendSection(
-        out, snap, "counters", indent, first_section,
+        out, snap, "counters", indent,
         [](const MetricSnapshot& m) { return m.kind == Kind::Counter; },
         [](std::string& o, const MetricSnapshot& m) {
             o += std::to_string(m.counter);
         });
     appendSection(
-        out, snap, "gauges", indent, first_section,
+        out, snap, "gauges", indent,
         [](const MetricSnapshot& m) { return m.kind == Kind::Gauge; },
         [](std::string& o, const MetricSnapshot& m) {
             o += json::formatDouble(m.gauge);
         });
     appendSection(
-        out, snap, "histograms", indent, first_section,
+        out, snap, "histograms", indent,
         [](const MetricSnapshot& m) {
             return m.kind == Kind::Histogram;
         },
@@ -113,21 +109,7 @@ metricsJson(const RunTelemetry& t, const std::string& indent)
            ",\n";
     out += indent +
            "  \"epochs\": " + std::to_string(t.epochs.size());
-    // The scalar header is already emitted, so every section —
-    // including the first — needs the separating comma.
-    bool first_section = false;
-    appendSnapshotSections(out, t.finalSnapshot, indent,
-                           first_section);
-    out += "\n" + indent + "}";
-    return out;
-}
-
-std::string
-snapshotJson(const Snapshot& s, const std::string& indent)
-{
-    std::string out = "{\n";
-    bool first_section = true;
-    appendSnapshotSections(out, s, indent, first_section);
+    appendSnapshotSections(out, t.finalSnapshot, indent);
     out += "\n" + indent + "}";
     return out;
 }
@@ -261,159 +243,6 @@ traceEventsJson(const RunTelemetry& t, const std::string& processName)
 {
     return "{\"traceEvents\": [\n" + traceEvents(t, 0, processName) +
            "\n], \"displayTimeUnit\": \"ms\"}\n";
-}
-
-// --- read side ------------------------------------------------------
-
-namespace {
-
-const json::Value&
-reqSection(const json::Value& v, std::string_view key,
-           const std::string& what)
-{
-    return v.require(key, json::Value::Type::Object, what);
-}
-
-double
-numberOf(const json::Value& v, const std::string& name,
-         const std::string& what)
-{
-    fatalIf(!v.isNumber(), ErrorCode::CorruptInput,
-            what + ": \"" + name + "\" must be a number");
-    return v.number;
-}
-
-HistogramSnapshot
-histogramFromJson(const json::Value& v, const std::string& name,
-                  const std::string& what)
-{
-    fatalIf(!v.isObject(), ErrorCode::CorruptInput,
-            what + ": histogram \"" + name + "\" must be an object");
-    HistogramSnapshot h;
-    for (const auto& b :
-         v.require("bounds", json::Value::Type::Array, what).array)
-        h.bounds.push_back(static_cast<std::int64_t>(
-            numberOf(b, name + ".bounds", what)));
-    for (const auto& c :
-         v.require("counts", json::Value::Type::Array, what).array)
-        h.counts.push_back(static_cast<std::uint64_t>(
-            numberOf(c, name + ".counts", what)));
-    fatalIf(h.bounds.size() != h.counts.size(),
-            ErrorCode::CorruptInput,
-            what + ": histogram \"" + name +
-                "\" bounds/counts length mismatch");
-    h.overflow =
-        v.require("overflow", json::Value::Type::Number, what)
-            .asU64();
-    h.total =
-        v.require("total", json::Value::Type::Number, what).asU64();
-    h.sum = static_cast<std::int64_t>(
-        v.require("sum", json::Value::Type::Number, what).number);
-    return h;
-}
-
-} // namespace
-
-Snapshot
-snapshotFromJson(const json::Value& v, const std::string& what)
-{
-    fatalIf(!v.isObject(), ErrorCode::CorruptInput,
-            what + ": snapshot must be a JSON object");
-    Snapshot s;
-    for (const auto& [name, val] :
-         reqSection(v, "counters", what).members) {
-        MetricSnapshot m;
-        m.name = name;
-        m.kind = MetricSnapshot::Kind::Counter;
-        m.counter =
-            static_cast<std::uint64_t>(numberOf(val, name, what));
-        s.metrics.push_back(std::move(m));
-    }
-    for (const auto& [name, val] :
-         reqSection(v, "gauges", what).members) {
-        MetricSnapshot m;
-        m.name = name;
-        m.kind = MetricSnapshot::Kind::Gauge;
-        m.gauge = numberOf(val, name, what);
-        s.metrics.push_back(std::move(m));
-    }
-    for (const auto& [name, val] :
-         reqSection(v, "histograms", what).members) {
-        MetricSnapshot m;
-        m.name = name;
-        m.kind = MetricSnapshot::Kind::Histogram;
-        m.histogram = histogramFromJson(val, name, what);
-        s.metrics.push_back(std::move(m));
-    }
-    std::sort(s.metrics.begin(), s.metrics.end(),
-              [](const MetricSnapshot& a, const MetricSnapshot& b) {
-                  return a.name < b.name;
-              });
-    for (std::size_t i = 1; i < s.metrics.size(); ++i)
-        fatalIf(s.metrics[i - 1].name == s.metrics[i].name,
-                ErrorCode::CorruptInput,
-                what + ": duplicate metric name \"" +
-                    s.metrics[i].name + "\"");
-    return s;
-}
-
-RunTelemetry
-telemetryFromJson(const json::Value& v, const std::string& what)
-{
-    fatalIf(!v.isObject(), ErrorCode::CorruptInput,
-            what + ": metrics document must be a JSON object");
-    RunTelemetry t;
-    t.accesses =
-        v.require("accesses", json::Value::Type::Number, what)
-            .asU64();
-    t.epochAccesses =
-        v.require("epochAccesses", json::Value::Type::Number, what)
-            .asU64();
-    t.epochs.resize(
-        v.require("epochs", json::Value::Type::Number, what).asU64());
-    t.finalSnapshot = snapshotFromJson(v, what);
-    return t;
-}
-
-void
-mergeInto(Snapshot& into, const Snapshot& from)
-{
-    using Kind = MetricSnapshot::Kind;
-    for (const auto& m : from.metrics) {
-        const auto it = std::lower_bound(
-            into.metrics.begin(), into.metrics.end(), m.name,
-            [](const MetricSnapshot& a, const std::string& name) {
-                return a.name < name;
-            });
-        if (it == into.metrics.end() || it->name != m.name) {
-            into.metrics.insert(it, m);
-            continue;
-        }
-        fatalIf(it->kind != m.kind, ErrorCode::CorruptInput,
-                "snapshot merge: metric \"" + m.name +
-                    "\" has conflicting kinds");
-        switch (m.kind) {
-          case Kind::Counter:
-            it->counter += m.counter;
-            break;
-          case Kind::Gauge:
-            it->gauge = std::max(it->gauge, m.gauge);
-            break;
-          case Kind::Histogram: {
-            fatalIf(it->histogram.bounds != m.histogram.bounds,
-                    ErrorCode::CorruptInput,
-                    "snapshot merge: histogram \"" + m.name +
-                        "\" bounds differ");
-            for (std::size_t i = 0; i < m.histogram.counts.size();
-                 ++i)
-                it->histogram.counts[i] += m.histogram.counts[i];
-            it->histogram.overflow += m.histogram.overflow;
-            it->histogram.total += m.histogram.total;
-            it->histogram.sum += m.histogram.sum;
-            break;
-          }
-        }
-    }
 }
 
 } // namespace mrp::telemetry

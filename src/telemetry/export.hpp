@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "telemetry/session.hpp"
-#include "util/json_reader.hpp"
 
 namespace mrp::telemetry {
 
@@ -40,46 +39,6 @@ namespace mrp::telemetry {
  * line after the first (the caller places the first line).
  */
 std::string metricsJson(const RunTelemetry& t, const std::string& indent);
-
-/**
- * Just the counters/gauges/histograms sections of a snapshot as one
- * JSON object — the wire form a worker ships to the FleetCollector.
- * Same indent convention as metricsJson.
- */
-std::string snapshotJson(const Snapshot& s, const std::string& indent);
-
-/**
- * Inverse of snapshotJson. All three sections must be present (both
- * writers always emit them); anything malformed — wrong section
- * types, non-numeric values, bounds/counts length mismatch — throws
- * FatalError(ErrorCode::CorruptInput). Extra keys beside the sections
- * are ignored, so this also reads the object metricsJson produces.
- */
-Snapshot snapshotFromJson(const json::Value& v,
-                          const std::string& what);
-
-/**
- * Inverse of metricsJson. The per-epoch snapshots are not serialized
- * (only their count is), so the returned RunTelemetry carries
- * `epochs.size()` empty epoch samples — enough for metricsJson to
- * round-trip byte-identically. Malformed input throws
- * FatalError(ErrorCode::CorruptInput).
- */
-RunTelemetry telemetryFromJson(const json::Value& v,
-                               const std::string& what);
-
-/**
- * Merge @p from into @p into — the fleet aggregation semantics:
- * counters add, histograms add bucket-wise (the bounds must be
- * identical, else FatalError(ErrorCode::CorruptInput) — histograms
- * with different ladders have no meaningful sum), and gauges keep the
- * maximum (a fleet-level high-water; point-in-time values from
- * different processes have no meaningful sum). A name present in only
- * one side is kept as-is; the same name with different kinds is
- * corrupt input. Commutative and associative, so a fold over worker
- * snapshots is order-independent.
- */
-void mergeInto(Snapshot& into, const Snapshot& from);
 
 /**
  * Flat `metric,value` rows (no index column, no newlines) for CSV

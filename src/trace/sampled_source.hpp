@@ -14,7 +14,7 @@
  *    anything.
  *  - Sampling is a pure per-record function of the child's record
  *    sequence, so the stream is deterministic under any chunking or
- *    delivery mode, and the spec serializes to queue workers.
+ *    delivery mode, and the spec serializes (TraceSpec::toJson).
  *
  * A workload spatially sampled at rate R behaves on a cache hierarchy
  * scaled by R like the full workload on the full hierarchy (the

@@ -1,5 +1,7 @@
 #include "trace/spec.hpp"
 
+#include <climits>
+#include <cmath>
 #include <utility>
 
 #include "trace/sampled_source.hpp"
@@ -187,14 +189,28 @@ std::uint64_t
 requireU64(const json::Value& v, const char* key,
            const std::string& what)
 {
-    return v.require(key, json::Value::Type::Number, what).asU64();
+    return static_cast<std::uint64_t>(json::wholeNumber(
+        v.require(key, json::Value::Type::Number, what), 0,
+        std::nextafter(0x1p64, 0.0), key, what));
+}
+
+unsigned
+requireUnsigned(const json::Value& v, const char* key,
+                const std::string& what)
+{
+    return static_cast<unsigned>(json::wholeNumber(
+        v.require(key, json::Value::Type::Number, what), 0, UINT_MAX,
+        key, what));
 }
 
 double
 requireDouble(const json::Value& v, const char* key,
               const std::string& what)
 {
-    return v.require(key, json::Value::Type::Number, what).number;
+    const double d = v.require(key, json::Value::Type::Number, what).number;
+    fatalIf(!std::isfinite(d), ErrorCode::CorruptInput,
+            what + ": " + key + " must be finite");
+    return d;
 }
 
 std::string
@@ -295,16 +311,22 @@ TraceSpec::fromJson(const json::Value& v, const std::string& what)
             what + ": trace spec must be a JSON object");
     const std::string kind = requireString(v, "kind", what);
     if (kind == "suite" || kind == "heldOut") {
-        const auto index =
-            static_cast<unsigned>(requireU64(v, "index", what));
+        v.requireOnly({"kind", "index", "instructions", "seed"}, what);
+        const auto index = requireUnsigned(v, "index", what);
         const auto insts = requireU64(v, "instructions", what);
         const auto seed = requireU64(v, "seed", what);
         return kind == "suite" ? suite(index, insts, seed)
                                : heldOut(index, insts, seed);
     }
-    if (kind == "file")
+    if (kind == "file") {
+        v.requireOnly({"kind", "path"}, what);
         return file(requireString(v, "path", what));
+    }
     if (kind == "zipf") {
+        v.requireOnly({"kind", "name", "instructions", "seed", "dataBase",
+                       "codeBase", "keys", "theta", "storeProb",
+                       "padsPerAccess"},
+                      what);
         ZipfParams p;
         p.name = requireString(v, "name", what);
         p.instructions = requireU64(v, "instructions", what);
@@ -314,11 +336,15 @@ TraceSpec::fromJson(const json::Value& v, const std::string& what)
         p.keys = requireU64(v, "keys", what);
         p.theta = requireDouble(v, "theta", what);
         p.storeProb = requireDouble(v, "storeProb", what);
-        p.padsPerAccess =
-            static_cast<unsigned>(requireU64(v, "padsPerAccess", what));
+        p.padsPerAccess = requireUnsigned(v, "padsPerAccess", what);
         return zipf(std::move(p));
     }
     if (kind == "blkio") {
+        v.requireOnly({"kind", "name", "instructions", "seed", "dataBase",
+                       "codeBase", "volumeBytes", "hotFraction", "seqProb",
+                       "hotProb", "writeProb", "maxRunBlocks",
+                       "padsPerRequest"},
+                      what);
         BlockIoParams p;
         p.name = requireString(v, "name", what);
         p.instructions = requireU64(v, "instructions", what);
@@ -330,13 +356,14 @@ TraceSpec::fromJson(const json::Value& v, const std::string& what)
         p.seqProb = requireDouble(v, "seqProb", what);
         p.hotProb = requireDouble(v, "hotProb", what);
         p.writeProb = requireDouble(v, "writeProb", what);
-        p.maxRunBlocks =
-            static_cast<unsigned>(requireU64(v, "maxRunBlocks", what));
-        p.padsPerRequest = static_cast<unsigned>(
-            requireU64(v, "padsPerRequest", what));
+        p.maxRunBlocks = requireUnsigned(v, "maxRunBlocks", what);
+        p.padsPerRequest = requireUnsigned(v, "padsPerRequest", what);
         return blockIo(std::move(p));
     }
     if (kind == "phaseMix") {
+        v.requireOnly({"kind", "name", "instructions", "phaseInstructions",
+                       "children"},
+                      what);
         const std::string name = requireString(v, "name", what);
         const auto insts = requireU64(v, "instructions", what);
         const auto phase = requireU64(v, "phaseInstructions", what);
@@ -349,8 +376,8 @@ TraceSpec::fromJson(const json::Value& v, const std::string& what)
         return phaseMix(name, insts, phase, std::move(children));
     }
     if (kind == "sampled") {
-        const auto rate =
-            static_cast<unsigned>(requireU64(v, "rateLog2", what));
+        v.requireOnly({"kind", "rateLog2", "child"}, what);
+        const auto rate = requireUnsigned(v, "rateLog2", what);
         const auto& child =
             v.require("child", json::Value::Type::Object, what);
         return sampled(fromJson(child, what), rate);

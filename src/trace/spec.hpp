@@ -105,12 +105,12 @@ class TraceSpec
     std::unique_ptr<TraceSource> open(const OpenOptions& opts) const;
 
     /**
-     * Self-contained JSON form of this spec, suitable for shipping a
-     * run to a worker process: every generator parameter that affects
-     * the record sequence is included, so fromJson() on any machine
-     * opens a bit-identical stream. Borrowed specs point into this
-     * process's memory and cannot cross a process boundary — they
-     * throw FatalError(ErrorCode::Config).
+     * Self-contained JSON form of this spec, the trace identity inside
+     * runner::requestJson: every generator parameter that affects the
+     * record sequence is included, so fromJson() on any machine opens
+     * a bit-identical stream. Borrowed specs point into this
+     * process's memory and have no such form — they throw
+     * FatalError(ErrorCode::Config).
      */
     std::string toJson() const;
 

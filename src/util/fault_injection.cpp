@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
-#include <vector>
 #include <new>
 #include <thread>
 #include <unordered_map>
@@ -72,49 +70,6 @@ arm(const std::string& site, const Spec& spec)
     s.armed = true;
     s.hits = 0;
     s.fires = 0;
-}
-
-void
-armFromSpec(const std::string& spec_text)
-{
-    std::vector<std::string> parts;
-    std::size_t pos = 0;
-    while (pos <= spec_text.size()) {
-        const auto colon = spec_text.find(':', pos);
-        if (colon == std::string::npos) {
-            parts.push_back(spec_text.substr(pos));
-            break;
-        }
-        parts.push_back(spec_text.substr(pos, colon - pos));
-        pos = colon + 1;
-    }
-    fatalIf(parts.size() < 2 || parts.size() > 5 ||
-                parts[0].empty(),
-            ErrorCode::Config,
-            "fault spec \"" + spec_text +
-                "\" is not SITE:KIND[:FIRSTHIT[:MAXFIRES"
-                "[:STALLMS]]]");
-    Spec spec;
-    if (parts[1] == "io")
-        spec.kind = Kind::IoError;
-    else if (parts[1] == "stall")
-        spec.kind = Kind::Stall;
-    else if (parts[1] == "alloc")
-        spec.kind = Kind::AllocFail;
-    else if (parts[1] == "corrupt")
-        spec.kind = Kind::CorruptByte;
-    else
-        fatal(ErrorCode::Config,
-              "fault spec \"" + spec_text +
-                  "\": kind must be io|stall|alloc|corrupt");
-    if (parts.size() > 2)
-        spec.firstHit = std::strtoull(parts[2].c_str(), nullptr, 10);
-    if (parts.size() > 3)
-        spec.maxFires = std::strtoll(parts[3].c_str(), nullptr, 10);
-    if (parts.size() > 4)
-        spec.stallMillis = static_cast<unsigned>(
-            std::strtoul(parts[4].c_str(), nullptr, 10));
-    arm(parts[0], spec);
 }
 
 void

@@ -51,19 +51,6 @@ struct Spec
 /** Arm @p site with @p spec, resetting its hit/fire counters. */
 void arm(const std::string& site, const Spec& spec);
 
-/**
- * Arm a site from a CLI flag value:
- *
- *   SITE:KIND[:FIRSTHIT[:MAXFIRES[:STALLMS]]]
- *
- * with KIND one of io|stall|alloc|corrupt, e.g.
- * "queue.journal.write:io:2:1". This is how faults reach worker
- * processes: the broker forwards --fault flags it was given, so a
- * chaos run arms the same sites on every side of the pipe. Throws
- * FatalError(ErrorCode::Config) on a malformed spec.
- */
-void armFromSpec(const std::string& spec);
-
 /** Disarm @p site (no-op if not armed); counters are kept so tests can
  * still read hits()/fires() afterwards. */
 void disarm(const std::string& site);

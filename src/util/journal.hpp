@@ -1,7 +1,7 @@
 /**
  * @file
- * CRC-framed append-only JSONL journaling — the shared durability
- * substrate of the runner checkpoint journal and the queue work log.
+ * CRC-framed append-only JSONL journaling — the durability substrate
+ * of the runner checkpoint journal.
  *
  * Every line is the CRC-32 of its JSON body in fixed hex followed by
  * the body:
@@ -30,21 +30,6 @@
 #include <vector>
 
 namespace mrp::journal {
-
-/**
- * Version of the queue/journal record schema. Bumped whenever the
- * shape of queue records or the journal fingerprinting contract
- * changes incompatibly. Folded into Study::fingerprint() and written
- * into every work-queue header record, so a broker refuses (typed
- * ErrorCode::Config) journals written under a different schema — a
- * pre-queue checkpoint journal can never be silently misread as a
- * queue log.
- *
- * v2: span-context propagation on the wire — JOB lines carry the
- * study trace id and the lease span id, HB/RESULT lines echo the
- * span id, and workers may ship an OBS telemetry line per job.
- */
-inline constexpr unsigned kQueueSchemaVersion = 2;
 
 /** Frame one JSON body as a journal line (checksum + body + \n). */
 std::string frameLine(const std::string& json);
@@ -84,7 +69,7 @@ class AppendFile
 {
   public:
     /** @param site_prefix names the fault-injection sites (see file
-     * comment); e.g. "runner.journal" or "queue.journal". */
+     * comment); e.g. "runner.journal". */
     AppendFile(const std::string& path,
                const std::string& site_prefix);
     ~AppendFile();

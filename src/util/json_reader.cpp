@@ -1,7 +1,9 @@
 #include "util/json_reader.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
+#include "util/json_writer.hpp"
 #include "util/logging.hpp"
 
 namespace mrp::json {
@@ -252,6 +254,36 @@ Value::require(std::string_view key, Type t,
             what + ": member \"" + std::string(key) + "\" is not a " +
                 typeName(t));
     return *v;
+}
+
+void
+Value::requireOnly(std::initializer_list<std::string_view> keys,
+                   const std::string& what) const
+{
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        const std::string& k = members[i].first;
+        bool known = false;
+        for (const auto key : keys)
+            known = known || k == key;
+        fatalIf(!known, ErrorCode::CorruptInput,
+                what + ": unexpected member \"" + k + "\"");
+        for (std::size_t j = 0; j < i; ++j)
+            fatalIf(members[j].first == k, ErrorCode::CorruptInput,
+                    what + ": repeated member \"" + k + "\"");
+    }
+}
+
+double
+wholeNumber(const Value& n, double lo, double hi, std::string_view name,
+            const std::string& what)
+{
+    fatalIf(!n.isNumber() || !(n.number >= lo && n.number <= hi) ||
+                n.number != std::trunc(n.number),
+            ErrorCode::CorruptInput,
+            what + ": " + std::string(name) +
+                " must be a whole number in [" + formatDouble(lo) +
+                ", " + formatDouble(hi) + "]");
+    return n.number;
 }
 
 Value

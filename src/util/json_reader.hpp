@@ -5,7 +5,7 @@
  *
  * The checkpoint journal carries its own schema-locked line parser;
  * this one is for documents whose shape is only known at runtime
- * (`--prof-out` profile documents, progress JSONL lines in tests).
+ * (request documents, progress JSONL lines in tests).
  * It parses strict JSON into a Value tree; numbers are doubles
  * (sufficient for every artifact we read: counts fit in 2^53).
  */
@@ -13,7 +13,7 @@
 #ifndef MRP_UTIL_JSON_READER_HPP
 #define MRP_UTIL_JSON_READER_HPP
 
-#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -50,8 +50,24 @@ class Value
     const Value& require(std::string_view key, Type type,
                          const std::string& what) const;
 
-    std::uint64_t asU64() const { return static_cast<std::uint64_t>(number); }
+    /**
+     * Refuse (FatalError(CorruptInput)) any member whose key is not in
+     * @p keys, and any key that appears twice. For decoders of
+     * documents a writer emits with a fixed key set: a key they would
+     * ignore, or a second copy that get() would not see, means the
+     * bytes say something the decoded value does not.
+     */
+    void requireOnly(std::initializer_list<std::string_view> keys,
+                     const std::string& what) const;
 };
+
+/**
+ * @p n as a whole number in [lo, hi], else FatalError(CorruptInput)
+ * naming @p name: casting a NaN, infinite or out-of-range double to an
+ * integer type is undefined behaviour, and a fraction is not a count.
+ */
+double wholeNumber(const Value& n, double lo, double hi,
+                   std::string_view name, const std::string& what);
 
 /**
  * Parse @p text as one JSON document (trailing whitespace allowed,

@@ -323,6 +323,23 @@ TEST(StudyTest, GridDuplicatesSimulateExactlyOnce)
     EXPECT_NE(report.find("\"cacheHits\": 1"), std::string::npos);
 }
 
+TEST(StudyTest, FingerprintTextIsPinned)
+{
+    // The CI sweep-smoke study (mrp_sweep_cli --strategy genetic
+    // --slots 4 --search-thresholds --seed 7). The fingerprint tags
+    // every --journal entry and the report's "fingerprint" field, so
+    // a change here makes every existing study journal unresumable.
+    const SearchSpace space = tinySpace(4);
+    GeneticStrategy strategy(space, GeneticStrategy::Config{}, 7);
+    CorpusMpkiObjective objective(
+        tinyCorpus({3, 4}, 120000),
+        CorpusMpkiObjective::Aggregate::Geomean);
+    StudyConfig cfg;
+    cfg.seed = 7;
+    const Study study(space, strategy, objective, cfg);
+    EXPECT_EQ(study.fingerprint(), "80db95f8");
+}
+
 TEST(StudyTest, KillAndResumeReportsAreByteIdentical)
 {
     const SearchSpace space = tinySpace(3);

@@ -5,7 +5,7 @@
  * schedule, fixed-partition isolation (a tenant's measured outcome is
  * a pure function of its own stream, byte-identical under any
  * co-runner), the EHC baseline, the scenario builders, the MRC
- * partition advisor, and the tenancy wire/journal round trips.
+ * partition advisor, and the tenancy request/journal round trips.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +14,10 @@
 
 #include "mrc/partition_advisor.hpp"
 #include "policy/ehc.hpp"
-#include "queue/wire.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/report.hpp"
+#include "runner/request_json.hpp"
 #include "runner/scenarios.hpp"
 #include "sim/multi_core.hpp"
 #include "tenant/partition.hpp"
@@ -517,8 +517,8 @@ TEST(TenantWireTest, TenancyConfigSurvivesRequestRoundTrip)
             trace::TraceSpec::suite(1, 100000),
             trace::TraceSpec::suite(2, 100000)},
         runner::PolicySpec::byName("LRU"), cfg);
-    const auto back = queue::requestFromJson(queue::requestJson(req),
-                                             "test request");
+    const auto back = runner::requestFromJson(runner::requestJson(req),
+                                              "test request");
     const auto& c = std::get<sim::MultiCoreConfig>(back.config);
     ASSERT_EQ(c.tenancy.tenants.size(), 2u);
     EXPECT_EQ(c.tenancy.tenants[0].ways, 10u);
@@ -531,14 +531,14 @@ TEST(TenantWireTest, TenancyConfigSurvivesRequestRoundTrip)
     EXPECT_EQ(c.tenancy.qos.hysteresisFrac, 0.25);
     EXPECT_EQ(c.tenancy.qos.minWays, 2u);
 
-    // Non-tenant requests keep the pre-tenancy wire bytes (no
+    // Non-tenant requests keep the pre-tenancy request bytes (no
     // "tenancy" key at all).
     const auto plain = runner::RunRequest::multiCore(
         std::vector<trace::TraceSpec>{
             trace::TraceSpec::suite(1, 100000),
             trace::TraceSpec::suite(2, 100000)},
         runner::PolicySpec::byName("LRU"), sim::MultiCoreConfig{});
-    EXPECT_EQ(queue::requestJson(plain).find("tenancy"),
+    EXPECT_EQ(runner::requestJson(plain).find("tenancy"),
               std::string::npos);
 }
 
