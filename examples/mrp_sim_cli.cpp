@@ -44,7 +44,9 @@
  * --chunk-records sets the pull granularity. All of these change only
  * how bytes arrive: reports are byte-identical across every
  * combination. --dump streams as well (constant memory) and writes
- * the chunked v3 format atomically.
+ * the chunked v4 format atomically. It is also the way forward for a
+ * trace file in an older format, which is no longer read: regenerate
+ * it with --benchmark NAME --insts N --dump FILE.
  *
  * Besides the suite/held-out names, --benchmark accepts the streaming
  * generator families, which synthesize records on the fly (no trace
@@ -182,8 +184,8 @@ streamFamilySpec(const std::string& name, InstCount insts,
         p.instructions = insts;
         if (seed != 0)
             p.seed = seed;
-        if (name.size() > 5) {
-            p.theta = std::atof(name.c_str() + 5);
+        if (name != "zipf") {
+            p.theta = trace::zipfThetaOf(name);
             p.name = name;
         }
         return trace::TraceSpec::zipf(p);
@@ -442,8 +444,9 @@ run(int argc, char** argv)
     }
 
     if (!dump_path.empty()) {
-        // Stream straight to the chunked v3 format: constant memory
-        // for any trace length, atomic tmp+fsync+rename on disk.
+        // Stream straight to the chunked v4 format, one 4096-record
+        // block per chunk: constant memory for any trace length,
+        // atomic tmp+fsync+rename on disk.
         trace::ChunkedTraceWriter writer(dump_path,
                                          spec->displayName());
         const auto src = spec->open(oopts);

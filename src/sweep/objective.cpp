@@ -1,7 +1,6 @@
 #include "sweep/objective.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "cache/geometry.hpp"
 #include "trace/workloads.hpp"
@@ -160,8 +159,8 @@ corpusFamilySpec(const std::string& name, InstCount insts,
         trace::ZipfParams p;
         p.instructions = insts;
         p.seed = seed;
-        if (name.size() > 5) {
-            p.theta = std::atof(name.c_str() + 5);
+        if (name != "zipf") {
+            p.theta = trace::zipfThetaOf(name);
             p.name = name;
         }
         return trace::TraceSpec::zipf(p);

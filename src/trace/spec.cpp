@@ -81,7 +81,7 @@ TraceSpec::file(std::string path)
     s.kind_ = Kind::File;
     s.path_ = std::move(path);
     // The identity comes from the validated header alone (no chunk is
-    // read), so an unreadable or non-v3 file fails here, not mid-run.
+    // read), so an unreadable or non-v4 file fails here, not mid-run.
     const FileTraceSource header(s.path_);
     s.name_ = header.name();
     s.instructions_ = header.instructions();

@@ -40,7 +40,7 @@ class TraceSpec
         Borrowed, //!< non-owning pointer to a caller-held Trace
         Suite,    //!< workloads::makeSuiteTrace(index, instructions)
         HeldOut,  //!< workloads::makeHeldOutTrace(index, instructions)
-        File,     //!< trace file (any format; v3 streams)
+        File,     //!< v4 trace file, streamed
         Zipf,     //!< streaming Zipf key-popularity family
         BlockIo,  //!< streaming block-I/O / storage-cache family
         PhaseMix, //!< phase-shifting combinator over child specs

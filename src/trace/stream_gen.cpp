@@ -1,6 +1,7 @@
 #include "trace/stream_gen.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -91,6 +92,24 @@ ChunkSource::emitPad(std::uint64_t count)
 
 // ---------------------------------------------------------------------------
 // Zipf
+
+double
+zipfThetaOf(const std::string& name)
+{
+    constexpr std::size_t kPrefix = 5; // "zipf:"
+    panicIf(name.compare(0, kPrefix, "zipf:") != 0,
+            "zipfThetaOf: not a zipf:THETA name");
+    const char* first = name.data() + kPrefix;
+    const char* last = name.data() + name.size();
+    double theta = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, theta);
+    fatalIf(ec != std::errc() || end != last || !std::isfinite(theta) ||
+                theta < 0.0,
+            ErrorCode::Config,
+            "bad Zipf theta in '" + name +
+                "': want a finite, non-negative number after 'zipf:'");
+    return theta;
+}
 
 ZipfDistribution::ZipfDistribution(std::uint64_t n, double theta)
     : n_(n), theta_(theta)

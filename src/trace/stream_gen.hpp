@@ -130,6 +130,14 @@ struct ZipfParams
 };
 
 /**
+ * The skew of a "zipf:THETA" family name: the whole of THETA must be
+ * one finite, non-negative number. Throws Config naming @p name
+ * otherwise. (A theta of 1 or more is refused by ZipfDistribution
+ * when the source opens.)
+ */
+double zipfThetaOf(const std::string& name);
+
+/**
  * Key-value store under Zipf popularity: every access picks a key by
  * Zipf rank and touches its cache line; popular keys are scattered
  * across the region by a multiplicative permutation so popularity and

@@ -1,5 +1,6 @@
 #include "trace/stream_reader.hpp"
 
+#include <errno.h>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -7,7 +8,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <new>
 #include <utility>
 
@@ -39,19 +39,15 @@ hex32(std::uint32_t v)
 }
 
 /**
- * Bounds-checked cursor over either a stream or a memory range, so the
- * buffered and mmap read paths share one header/chunk parser. Every
- * read is validated against the bytes remaining before it happens, so
- * corrupt length fields fail with the offset where the data ran dry
- * instead of driving allocations.
+ * Bounds-checked cursor over resident file bytes, so the buffered and
+ * mmap read paths share one header/chunk parser. Every read is
+ * validated against the bytes remaining in the file before it
+ * happens, so corrupt length fields fail with the offset where the
+ * data ran dry instead of driving allocations.
  */
 class ByteCursor
 {
   public:
-    ByteCursor(std::istream& is, std::uint64_t avail)
-        : is_(&is), remaining_(avail)
-    {
-    }
     ByteCursor(const unsigned char* mem, std::uint64_t avail)
         : mem_(mem), remaining_(avail)
     {
@@ -63,26 +59,20 @@ class ByteCursor
     void
     read(void* dst, std::uint64_t size, const char* what)
     {
-        require(size, what);
-        if (mem_ != nullptr) {
-            std::memcpy(dst, mem_ + offset_, size);
-        } else {
-            is_->read(static_cast<char*>(dst),
-                      static_cast<std::streamsize>(size));
-            fatalIf(!*is_, ErrorCode::Io,
-                    std::string("read failed at offset ") +
-                        std::to_string(offset_) + " while reading " +
-                        what);
-        }
-        offset_ += size;
-        remaining_ -= size;
+        std::memcpy(dst, take(size, what), size);
     }
 
-    /** Memory-mode only: consume @p size bytes without copying. */
+    /** Consume @p size bytes without copying. */
     const unsigned char*
     take(std::uint64_t size, const char* what)
     {
-        require(size, what);
+        if (size > remaining_) [[unlikely]]
+            fatal(ErrorCode::CorruptInput,
+                  std::string("truncated trace stream: need ") +
+                      std::to_string(size) + " byte(s) of " + what +
+                      " at offset " + std::to_string(offset_) +
+                      ", only " + std::to_string(remaining_) +
+                      " remain");
         const unsigned char* p = mem_ + offset_;
         offset_ += size;
         remaining_ -= size;
@@ -99,67 +89,60 @@ class ByteCursor
     }
 
   private:
-    void
-    require(std::uint64_t size, const char* what)
-    {
-        fatalIf(size > remaining_, ErrorCode::CorruptInput,
-                std::string("truncated trace stream: need ") +
-                    std::to_string(size) + " byte(s) of " + what +
-                    " at offset " + std::to_string(offset_) +
-                    ", only " + std::to_string(remaining_) +
-                    " remain");
-    }
-
-    std::istream* is_ = nullptr;
-    const unsigned char* mem_ = nullptr;
+    const unsigned char* mem_;
     std::uint64_t offset_ = 0;
     std::uint64_t remaining_;
 };
 
-/** Decoded v3 header. */
-struct V3Header
+/** Bytes of the largest chunk: a full block whose every record has
+ * its own PC. */
+constexpr std::uint64_t kMaxChunkBytes =
+    kChunkHeaderBytes + 2 * Trace::kBlockRecords * sizeof(std::uint64_t);
+
+/** Buffered reads fetch this much of the file per read call, so one
+ * call serves many chunks. */
+constexpr std::uint64_t kReadAheadBytes = std::uint64_t{1} << 20;
+static_assert(kReadAheadBytes >= kMaxChunkBytes &&
+              kReadAheadBytes >= payloadStart(kMaxNameLen));
+
+/** Decoded v4 header. */
+struct Header
 {
     std::string name;
     std::uint64_t instructions = 0;
     std::uint64_t recordCount = 0;
-    std::uint32_t chunkCapacity = 0;
     std::uint64_t payloadStart = 0;
 };
 
 /**
- * Parse and CRC-validate a v3 header from @p in (positioned at the
+ * Parse and CRC-validate a v4 header from @p in (positioned at the
  * magic). Throws CorruptInput on any malformed field, and on any
- * version but 3.
+ * version but 4.
  */
-V3Header
-parseV3Header(ByteCursor& in)
+Header
+parseHeader(ByteCursor& in)
 {
     char magic[4] = {};
     in.read(magic, sizeof(magic), "magic");
     fatalIf(std::memcmp(magic, kMagic, sizeof(kMagic)) != 0,
             ErrorCode::CorruptInput, "not a trace stream (bad magic)");
     const auto version = in.get<std::uint32_t>("version");
-    fatalIf(version != 3, ErrorCode::CorruptInput,
-            "unsupported trace format version " +
-                std::to_string(version) +
-                ": only v3 (chunked) files are read; convert a v1/v2 "
-                "file with 'mrp_sim_cli --trace OLD --dump NEW' using "
-                "an earlier build that still reads it");
+    if (version != kVersion) [[unlikely]]
+        fatal(ErrorCode::CorruptInput,
+              "unsupported trace format version " +
+                  std::to_string(version) + ": only v" +
+                  std::to_string(kVersion) +
+                  " files are read; regenerate the trace with "
+                  "'mrp_sim_cli --benchmark NAME --insts N --dump FILE'");
 
-    V3Header h;
+    Header h;
     h.instructions = in.get<std::uint64_t>("instruction count");
     h.recordCount = in.get<std::uint64_t>("record count");
     const auto name_len = in.get<std::uint32_t>("name length");
-    h.chunkCapacity = in.get<std::uint32_t>("chunk capacity");
     fatalIf(name_len > kMaxNameLen, ErrorCode::CorruptInput,
             "implausible trace name length " +
                 std::to_string(name_len) + " (max " +
                 std::to_string(kMaxNameLen) + ")");
-    fatalIf(h.chunkCapacity == 0 || h.chunkCapacity > kMaxChunkRecords,
-            ErrorCode::CorruptInput,
-            "implausible chunk capacity " +
-                std::to_string(h.chunkCapacity) + " (max " +
-                std::to_string(kMaxChunkRecords) + ")");
 
     Crc32 crc;
     crc.update(magic, sizeof(magic));
@@ -167,15 +150,14 @@ parseV3Header(ByteCursor& in)
     crc.update(&h.instructions, sizeof(h.instructions));
     crc.update(&h.recordCount, sizeof(h.recordCount));
     crc.update(&name_len, sizeof(name_len));
-    crc.update(&h.chunkCapacity, sizeof(h.chunkCapacity));
 
     h.name.resize(name_len);
     if (name_len > 0)
         in.read(h.name.data(), name_len, "name");
     crc.update(h.name.data(), h.name.size());
 
-    char pad[16] = {};
-    const std::uint64_t pad_len = v3NamePad(name_len);
+    char pad[8] = {};
+    const std::uint64_t pad_len = namePad(name_len);
     if (pad_len > 0)
         in.read(pad, pad_len, "header padding");
     crc.update(pad, pad_len);
@@ -184,128 +166,165 @@ parseV3Header(ByteCursor& in)
     fatalIf(stored != crc.value(), ErrorCode::CorruptInput,
             "trace header CRC mismatch: stored " + hex32(stored) +
                 ", computed " + hex32(crc.value()));
-    h.payloadStart = v3PayloadStart(name_len);
+    h.payloadStart = payloadStart(name_len);
     return h;
 }
 
-/** Serialized v3 header (fixed fields, name, pad, CRC). */
+/** Serialized v4 header (fixed fields, name, pad, CRC). */
 std::string
-v3HeaderBytes(const std::string& name, std::uint64_t instructions,
-              std::uint64_t record_count, std::uint32_t chunk_capacity)
+headerBytes(const std::string& name, std::uint64_t instructions,
+            std::uint64_t record_count)
 {
     fatalIf(name.size() > kMaxNameLen, ErrorCode::Config,
             "trace name too long for serialization: " +
                 std::to_string(name.size()) + " bytes");
     std::string buf;
-    buf.reserve(v3PayloadStart(name.size()));
+    buf.reserve(payloadStart(name.size()));
     buf.append(kMagic, sizeof(kMagic));
-    put(buf, static_cast<std::uint32_t>(3));
+    put(buf, kVersion);
     put(buf, instructions);
     put(buf, record_count);
     put(buf, static_cast<std::uint32_t>(name.size()));
-    put(buf, chunk_capacity);
     buf.append(name.data(), name.size());
-    buf.append(v3NamePad(name.size()), '\0');
+    buf.append(namePad(name.size()), '\0');
     put(buf, Crc32::of(buf.data(), buf.size()));
     return buf;
-}
-
-/** Chunk CRC: covers the record count, the instruction count, and the
- * record bytes — everything in the chunk except the CRC field. */
-std::uint32_t
-chunkCrc(std::uint32_t count, std::uint64_t instructions,
-         const Record* records)
-{
-    Crc32 crc;
-    crc.update(&count, sizeof(count));
-    crc.update(&instructions, sizeof(instructions));
-    crc.update(records, count * sizeof(Record));
-    return crc.value();
-}
-
-InstCount
-sumCounts(const Record* records, std::size_t n)
-{
-    InstCount total = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        total += records[i].count();
-    return total;
 }
 
 /** Fields of one chunk header, plus where it sits in the file. */
 struct ChunkHead
 {
     std::uint32_t count = 0;
+    std::uint32_t tableLen = 0;
     std::uint32_t crc = 0;
+    std::uint32_t zero = 0;
     std::uint64_t instructions = 0;
+    std::uint64_t index = 0;      //!< the chunk's position in the file
     std::uint64_t fileOffset = 0; //!< of the chunk header itself
+
+    /** Bytes of the table and words that follow the header. */
+    std::uint64_t
+    payloadBytes() const
+    {
+        return (std::uint64_t{tableLen} + count) * sizeof(std::uint64_t);
+    }
 };
 
+/** Chunk CRC: covers the chunk index, every header field but the CRC,
+ * and the block's table and words. */
+std::uint32_t
+chunkCrc(const ChunkHead& c, Trace::Block block)
+{
+    Crc32 crc;
+    crc.update(&c.index, sizeof(c.index));
+    crc.update(&c.count, sizeof(c.count));
+    crc.update(&c.tableLen, sizeof(c.tableLen));
+    crc.update(&c.zero, sizeof(c.zero));
+    crc.update(&c.instructions, sizeof(c.instructions));
+    crc.update(block.pcs.data(), block.pcs.size_bytes());
+    crc.update(block.words.data(), block.words.size_bytes());
+    return crc.value();
+}
+
+std::string
+chunkAt(const ChunkHead& c)
+{
+    return "chunk " + std::to_string(c.index) + " at offset " +
+           std::to_string(c.fileOffset);
+}
+
 /**
- * Read one chunk header from @p in and validate its record count
- * against the chunk @p capacity, the @p records_left (at least one)
- * the file header still owes, and the bytes physically remaining.
- * @p base is the absolute file offset of the cursor's origin, so
- * diagnostics can name the real position.
+ * Read chunk @p index's header from @p in and check, before anything
+ * is allocated for it, its record count against the @p records_left
+ * (at least one) the file header still owes, its table length against
+ * its record count, and its payload against the bytes physically
+ * remaining. @p base is the absolute file offset of the cursor's
+ * origin, so diagnostics can name the real position.
  *
- * ChunkedTraceWriter fills every chunk to capacity and writes the one
- * short chunk last, so a count is valid only if it is exactly
- * min(capacity, records_left): a short chunk anywhere else means the
- * chunks were reordered. (Two full chunks swapped still read back;
- * catching that needs the chunk's position in its CRC, a format
- * change.)
+ * The writer fills every chunk to Trace::kBlockRecords and writes the
+ * one short chunk last, so a count is valid only if it is exactly
+ * min(kBlockRecords, records_left).
  */
 ChunkHead
-readChunkHead(ByteCursor& in, std::uint32_t capacity,
+readChunkHead(ByteCursor& in, std::uint64_t index,
               std::uint64_t records_left, std::uint64_t base)
 {
     ChunkHead c;
+    c.index = index;
     c.fileOffset = base + in.offset();
     c.count = in.get<std::uint32_t>("chunk record count");
+    c.tableLen = in.get<std::uint32_t>("chunk PC-table length");
     c.crc = in.get<std::uint32_t>("chunk CRC");
+    c.zero = in.get<std::uint32_t>("chunk reserved field");
     c.instructions = in.get<std::uint64_t>("chunk instruction count");
     const std::uint64_t expected =
-        std::min<std::uint64_t>(capacity, records_left);
+        std::min<std::uint64_t>(Trace::kBlockRecords, records_left);
     if (c.count != expected) [[unlikely]]
         fatal(ErrorCode::CorruptInput,
-              "corrupt chunk at offset " + std::to_string(c.fileOffset) +
-                  ": record count " + std::to_string(c.count) +
-                  ", expected " + std::to_string(expected) +
-                  " (chunk capacity " + std::to_string(capacity) + ", " +
+              "corrupt " + chunkAt(c) + ": record count " +
+                  std::to_string(c.count) + ", expected " +
+                  std::to_string(expected) + " (" +
                   std::to_string(records_left) +
                   " record(s) left; only the last chunk may be short)");
-    fatalIf(c.count * sizeof(Record) > in.remaining(),
-            ErrorCode::CorruptInput,
-            "truncated trace stream: chunk at offset " +
-                std::to_string(c.fileOffset) + " claims " +
-                std::to_string(c.count) + " record(s) but only " +
-                std::to_string(in.remaining()) + " byte(s) remain");
+    if (c.tableLen == 0 || c.tableLen > c.count) [[unlikely]]
+        fatal(ErrorCode::CorruptInput,
+              "corrupt " + chunkAt(c) + ": PC-table length " +
+                  std::to_string(c.tableLen) + " outside [1, " +
+                  std::to_string(c.count) + "]");
+    if (c.zero != 0) [[unlikely]]
+        fatal(ErrorCode::CorruptInput,
+              "corrupt " + chunkAt(c) + ": reserved header field is " +
+                  std::to_string(c.zero) + ", not 0");
+    if (c.payloadBytes() > in.remaining()) [[unlikely]]
+        fatal(ErrorCode::CorruptInput,
+              "truncated trace stream: " + chunkAt(c) + " needs " +
+                  std::to_string(c.payloadBytes()) +
+                  " payload byte(s) but only " +
+                  std::to_string(in.remaining()) + " remain");
     return c;
 }
 
-/** CRC + instruction-sum validation of a fully-read chunk. */
+/**
+ * Check @p payload (the chunk's table, then its words) against its
+ * CRC, then decode it into @p out with Trace::decodeBlock, which
+ * checks every word as it goes; any finding is raised once the whole
+ * block is decoded.
+ */
 void
-validateChunkPayload(const ChunkHead& c, const Record* records)
+decodeChunk(const ChunkHead& c, const std::uint64_t* payload,
+            Record* out)
 {
-    const std::uint32_t computed =
-        chunkCrc(c.count, c.instructions, records);
-    fatalIf(computed != c.crc, ErrorCode::CorruptInput,
-            "chunk CRC mismatch at offset " +
-                std::to_string(c.fileOffset) + ": stored " +
-                hex32(c.crc) + ", computed " + hex32(computed));
-    fatalIf(sumCounts(records, c.count) != c.instructions,
-            ErrorCode::CorruptInput,
-            "chunk at offset " + std::to_string(c.fileOffset) +
-                ": instruction count does not match its records");
+    const Trace::Block block = {{payload, c.tableLen},
+                                {payload + c.tableLen, c.count}};
+    const std::uint32_t computed = chunkCrc(c, block);
+    // The messages are built only on failure: this runs per chunk.
+    if (computed != c.crc) [[unlikely]]
+        fatal(ErrorCode::CorruptInput,
+              "chunk CRC mismatch in " + chunkAt(c) + ": stored " +
+                  hex32(c.crc) + ", computed " + hex32(computed));
+    const Trace::BlockCheck check = Trace::decodeBlock(block, out);
+    if (check.reservedBitSet) [[unlikely]]
+        fatal(ErrorCode::CorruptInput,
+              "corrupt " + chunkAt(c) +
+                  ": a record has its reserved bit 63 set");
+    if (check.slotOutsideTable) [[unlikely]]
+        fatal(ErrorCode::CorruptInput,
+              "corrupt " + chunkAt(c) + ": a record's PC slot is outside "
+                  "its " + std::to_string(c.tableLen) + "-entry table");
+    if (check.instructions != c.instructions) [[unlikely]]
+        fatal(ErrorCode::CorruptInput,
+              chunkAt(c) +
+                  ": instruction count does not match its records");
 }
 
 /** Reject a record count that cannot fit in the @p payload_avail bytes
- * after the header (chunk headers included) before anything is
- * allocated. */
+ * after the header (chunk headers and tables included) before
+ * anything is allocated. */
 void
-validatePayloadFits(const V3Header& h, std::uint64_t payload_avail)
+validatePayloadFits(const Header& h, std::uint64_t payload_avail)
 {
-    fatalIf(h.recordCount > payload_avail / sizeof(Record),
+    constexpr std::uint64_t kWord = sizeof(std::uint64_t);
+    fatalIf(h.recordCount > payload_avail / kWord,
             ErrorCode::CorruptInput,
             "truncated trace stream: header claims " +
                 std::to_string(h.recordCount) +
@@ -313,10 +332,11 @@ validatePayloadFits(const V3Header& h, std::uint64_t payload_avail)
                 std::to_string(payload_avail) +
                 " payload byte(s) remain after offset " +
                 std::to_string(h.payloadStart));
+    // Each chunk has a header and at least one table entry.
     const std::uint64_t chunks =
-        (h.recordCount + h.chunkCapacity - 1) / h.chunkCapacity;
-    fatalIf(h.recordCount * sizeof(Record) +
-                    chunks * kChunkHeaderBytes >
+        (h.recordCount + Trace::kBlockRecords - 1) / Trace::kBlockRecords;
+    fatalIf(h.recordCount * kWord +
+                    chunks * (kChunkHeaderBytes + kWord) >
                 payload_avail,
             ErrorCode::CorruptInput,
             "truncated trace stream: " + std::to_string(chunks) +
@@ -336,75 +356,95 @@ FileTraceSource::FileTraceSource(std::string path, FileMode mode)
     : path_(std::move(path)), mode_(mode)
 {
     fault::checkIo("stream.open", "opening " + path_);
-    if (mode_ == FileMode::Buffered)
-        openBuffered();
-    else
-        openMapped();
-
+    if (mode_ == FileMode::Mmap)
+        fault::checkIo("stream.mmap", "mapping " + path_);
+    fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+    fatalIf(fd_ < 0, ErrorCode::Io, "cannot open for reading: " + path_);
     try {
-        ByteCursor in = map_ != nullptr ? ByteCursor(map_, fileBytes_)
-                                        : ByteCursor(*file_, fileBytes_);
-        const V3Header h = parseV3Header(in);
+        struct ::stat st = {};
+        fatalIf(::fstat(fd_, &st) != 0 || st.st_size < 0, ErrorCode::Io,
+                "cannot stat " + path_);
+        fileBytes_ = static_cast<std::uint64_t>(st.st_size);
+        if (mode_ == FileMode::Mmap)
+            mapFile();
+        else
+            window_.resize(kReadAheadBytes / sizeof(std::uint64_t));
+
+        ByteCursor in(bytesAt(0, payloadStart(kMaxNameLen)), fileBytes_);
+        const Header h = parseHeader(in);
         validatePayloadFits(h, in.remaining());
         name_ = h.name;
         instructions_ = h.instructions;
         recordCount_ = h.recordCount;
-        chunkCapacity_ = h.chunkCapacity;
         payloadStart_ = h.payloadStart;
         offset_ = payloadStart_;
     } catch (...) {
-        // A throwing constructor runs no destructor: unmap here.
-        if (map_ != nullptr)
-            ::munmap(const_cast<unsigned char*>(map_), fileBytes_);
+        // A throwing constructor runs no destructor: release here.
+        release();
         throw;
     }
 }
 
-FileTraceSource::~FileTraceSource()
+FileTraceSource::~FileTraceSource() { release(); }
+
+void
+FileTraceSource::release()
 {
     if (map_ != nullptr)
         ::munmap(const_cast<unsigned char*>(map_), fileBytes_);
+    map_ = nullptr;
+    if (fd_ >= 0)
+        ::close(fd_);
+    fd_ = -1;
 }
 
 void
-FileTraceSource::openBuffered()
+FileTraceSource::mapFile()
 {
-    file_ = std::make_unique<std::ifstream>(path_, std::ios::binary);
-    fatalIf(!*file_, ErrorCode::Io,
-            "cannot open for reading: " + path_);
-    file_->seekg(0, std::ios::end);
-    const auto end = file_->tellg();
-    file_->seekg(0);
-    fatalIf(!*file_ || end < std::istream::pos_type(0), ErrorCode::Io,
-            "cannot determine size of " + path_);
-    fileBytes_ = static_cast<std::uint64_t>(end);
-}
-
-void
-FileTraceSource::openMapped()
-{
-    fault::checkIo("stream.mmap", "mapping " + path_);
-    const int fd = ::open(path_.c_str(), O_RDONLY);
-    fatalIf(fd < 0, ErrorCode::Io,
-            "cannot open for reading: " + path_);
-    struct ::stat st = {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-        ::close(fd);
-        fatal(ErrorCode::Io, "cannot stat " + path_);
-    }
-    fileBytes_ = static_cast<std::uint64_t>(st.st_size);
-    if (fileBytes_ == 0) {
-        ::close(fd);
-        fatal(ErrorCode::CorruptInput, "empty trace file: " + path_);
-    }
-    void* map = ::mmap(nullptr, fileBytes_, PROT_READ, MAP_PRIVATE, fd,
+    fatalIf(fileBytes_ == 0, ErrorCode::CorruptInput,
+            "empty trace file: " + path_);
+    void* map = ::mmap(nullptr, fileBytes_, PROT_READ, MAP_PRIVATE, fd_,
                        0);
-    ::close(fd);
+    ::close(fd_);
+    fd_ = -1;
     fatalIf(map == MAP_FAILED, ErrorCode::Io,
             "mmap failed for " + path_);
     map_ = static_cast<const unsigned char*>(map);
     ::madvise(const_cast<unsigned char*>(map_), fileBytes_,
               MADV_SEQUENTIAL);
+}
+
+const unsigned char*
+FileTraceSource::bytesAt(std::uint64_t at, std::uint64_t want)
+{
+    if (map_ != nullptr)
+        return map_ + at;
+    auto* window = reinterpret_cast<unsigned char*>(window_.data());
+    const std::uint64_t need = std::min(want, fileBytes_ - at);
+    if (at < windowStart_ || at + need > windowEnd_) {
+        // Keep the window's unread tail and read ahead from there: one
+        // read call serves many chunks.
+        const std::uint64_t keep =
+            at >= windowStart_ && at < windowEnd_ ? windowEnd_ - at : 0;
+        if (keep > 0)
+            std::memmove(window, window + (at - windowStart_), keep);
+        const std::uint64_t fill =
+            std::min<std::uint64_t>(kReadAheadBytes, fileBytes_ - at);
+        std::uint64_t done = keep;
+        while (done < fill) {
+            const ::ssize_t n = ::pread(fd_, window + done, fill - done,
+                                        static_cast<::off_t>(at + done));
+            if (n < 0 && errno == EINTR)
+                continue;
+            fatalIf(n <= 0, ErrorCode::Io,
+                    "read failed at offset " + std::to_string(at + done) +
+                        " of " + path_);
+            done += static_cast<std::uint64_t>(n);
+        }
+        windowStart_ = at;
+        windowEnd_ = at + fill;
+    }
+    return window + (at - windowStart_);
 }
 
 std::span<const Record>
@@ -419,52 +459,52 @@ FileTraceSource::nextChunk()
                 "trace header instruction count does not match records");
         return {};
     }
-    fault::checkIo("stream.read",
-                   "reading chunk at offset " +
-                       std::to_string(offset_) + " of " + path_);
+    // A fault site's message is built before the call: skip that per
+    // chunk unless some site is armed.
+    if (fault::anyArmed()) [[unlikely]]
+        fault::checkIo("stream.read",
+                       "reading chunk at offset " +
+                           std::to_string(offset_) + " of " + path_);
 
-    const std::uint64_t avail = fileBytes_ - offset_;
-    ByteCursor in = map_ != nullptr ? ByteCursor(map_ + offset_, avail)
-                                    : ByteCursor(*file_, avail);
-    const ChunkHead c = readChunkHead(in, chunkCapacity_,
-                                      recordCount_ - recordsServed_,
-                                      offset_);
-    const std::uint64_t bytes = c.count * sizeof(Record);
-    const Record* records = nullptr;
     if (map_ != nullptr) {
-        // Drop the pages of already-served chunks so residency stays
-        // at ~one chunk no matter how large the mapped file is; they
-        // refault from the file cleanly after a reset().
+        // Drop the pages of already-served chunks, a read-ahead's worth
+        // at a time, so residency stays bounded no matter how large the
+        // mapped file is; they refault from the file cleanly after a
+        // reset().
         const auto page =
             static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
         const std::uint64_t drop_end = offset_ & ~(page - 1);
-        if (drop_end > lastChunkStart_) {
+        if (drop_end >= lastChunkStart_ + kReadAheadBytes) {
             ::madvise(const_cast<unsigned char*>(map_) + lastChunkStart_,
                       drop_end - lastChunkStart_, MADV_DONTNEED);
             lastChunkStart_ = drop_end;
         }
-        records = reinterpret_cast<const Record*>(
-            in.take(bytes, "chunk records"));
-    } else {
-        try {
-            fault::checkAlloc("stream.read.alloc");
-            buffer_.resize(c.count);
-        } catch (const std::bad_alloc&) {
-            fatal(ErrorCode::Resource,
-                  "out of memory streaming trace chunk (" +
-                      std::to_string(c.count) + " records)");
-        }
-        in.read(buffer_.data(), bytes, "chunk records");
-        records = buffer_.data();
     }
-    validateChunkPayload(c, records);
+    ByteCursor in(bytesAt(offset_, kMaxChunkBytes), fileBytes_ - offset_);
+    const ChunkHead c =
+        readChunkHead(in, recordsServed_ / Trace::kBlockRecords,
+                      recordCount_ - recordsServed_, offset_);
+    try {
+        if (fault::anyArmed()) [[unlikely]]
+            fault::checkAlloc("stream.read.alloc");
+        buffer_.resize(c.count);
+    } catch (const std::bad_alloc&) {
+        fatal(ErrorCode::Resource,
+              "out of memory streaming trace chunk (" +
+                  std::to_string(c.count) + " records)");
+    }
+    // Chunks start 8-byte aligned in the file, and so in the window
+    // and in the page-aligned map.
+    const auto* payload = reinterpret_cast<const std::uint64_t*>(
+        in.take(c.payloadBytes(), "chunk payload"));
+    decodeChunk(c, payload, buffer_.data());
 
     offset_ += in.offset();
     recordsServed_ += c.count;
     instsServed_ += c.instructions;
     stats_.chunksDecoded += 1;
     stats_.bytesRead += in.offset();
-    return {records, c.count};
+    return {buffer_.data(), c.count};
 }
 
 void
@@ -474,12 +514,6 @@ FileTraceSource::reset()
     recordsServed_ = 0;
     instsServed_ = 0;
     lastChunkStart_ = 0;
-    if (file_) {
-        file_->clear();
-        file_->seekg(static_cast<std::streamoff>(payloadStart_));
-        fatalIf(!*file_, ErrorCode::Io,
-                "seek failed rewinding " + path_);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -608,19 +642,15 @@ DecodeAheadSource::stats() const
 // ChunkedTraceWriter
 
 ChunkedTraceWriter::ChunkedTraceWriter(std::string path,
-                                       std::string trace_name,
-                                       std::size_t chunk_records)
+                                       std::string trace_name)
     : path_(std::move(path)),
       tmpPath_(path_ + ".tmp." + std::to_string(::getpid())),
-      name_(std::move(trace_name)),
-      chunkRecords_(std::clamp(chunk_records, std::size_t{1},
-                               std::size_t{kMaxChunkRecords}))
+      name_(std::move(trace_name))
 {
     // Placeholder header; finish() rewrites it with the real totals.
     // Built before the tmp file exists, because it rejects an over-long
     // name and a throwing constructor runs no destructor to clean up.
-    const std::string header = v3HeaderBytes(
-        name_, 0, 0, static_cast<std::uint32_t>(chunkRecords_));
+    const std::string header = headerBytes(name_, 0, 0);
     fault::checkIo("stream.write", "creating " + tmpPath_);
     file_ = std::fopen(tmpPath_.c_str(), "wb");
     fatalIf(file_ == nullptr, ErrorCode::Io,
@@ -645,25 +675,36 @@ ChunkedTraceWriter::~ChunkedTraceWriter()
 void
 ChunkedTraceWriter::append(std::span<const Record> records)
 {
-    fatalIf(finished_, ErrorCode::Internal,
-            "append() after finish() on " + path_);
-    // Top up a partial chunk first; full chunks then go straight from
-    // the caller's records, and only a short tail is buffered.
-    if (!pending_.empty()) {
-        const auto head = records.first(
-            std::min(records.size(), chunkRecords_ - pending_.size()));
-        pending_.insert(pending_.end(), head.begin(), head.end());
-        records = records.subspan(head.size());
-        if (pending_.size() < chunkRecords_)
-            return;
-        writeChunk(pending_.data(), chunkRecords_);
-        pending_.clear();
+    if (finished_) [[unlikely]]
+        fatal(ErrorCode::Internal, "append() after finish() on " + path_);
+    for (const Record& r : records) {
+        pending_.append(r);
+        if (pending_.size() == Trace::kBlockRecords) {
+            writeChunk(pending_.lastBlock());
+            pending_.clear();
+        }
     }
-    while (records.size() >= chunkRecords_) {
-        writeChunk(records.data(), chunkRecords_);
-        records = records.subspan(chunkRecords_);
+}
+
+void
+ChunkedTraceWriter::append(const Trace& trace)
+{
+    if (finished_) [[unlikely]]
+        fatal(ErrorCode::Internal, "append() after finish() on " + path_);
+    if (pending_.size() != 0) {
+        // Off a block boundary the trace's blocks would straddle
+        // chunks, so its records are re-encoded.
+        MaterializedTraceSource src(trace);
+        appendAll(src);
+        return;
     }
-    pending_.assign(records.begin(), records.end());
+    for (std::size_t i = 0; i < trace.blockCount(); ++i) {
+        const Trace::Block block = trace.block(i);
+        if (block.words.size() == Trace::kBlockRecords)
+            writeChunk(block);
+        else
+            pending_.appendBlock(block); // the short last block
+    }
 }
 
 void
@@ -678,27 +719,37 @@ ChunkedTraceWriter::appendAll(TraceSource& source)
 }
 
 void
-ChunkedTraceWriter::writeChunk(const Record* records, std::size_t n)
+ChunkedTraceWriter::writeChunk(Trace::Block block)
 {
-    fault::checkIo("stream.write",
-                   "appending a chunk to " + tmpPath_);
-    const auto count = static_cast<std::uint32_t>(n);
-    const std::uint64_t insts = sumCounts(records, n);
+    if (fault::anyArmed()) [[unlikely]]
+        fault::checkIo("stream.write",
+                       "appending a chunk to " + tmpPath_);
+    ChunkHead c;
+    c.count = static_cast<std::uint32_t>(block.words.size());
+    c.tableLen = static_cast<std::uint32_t>(block.pcs.size());
+    c.instructions = Trace::instructionsOf(block.words);
+    c.index = recordCount_ / Trace::kBlockRecords;
     std::string head;
     head.reserve(kChunkHeaderBytes);
-    put(head, count);
-    put(head, chunkCrc(count, insts, records));
-    put(head, insts);
-    fault::checkCorrupt("stream.write.corrupt", head.data(),
-                        head.size());
+    put(head, c.count);
+    put(head, c.tableLen);
+    put(head, chunkCrc(c, block));
+    put(head, c.zero);
+    put(head, c.instructions);
+    if (fault::anyArmed()) [[unlikely]]
+        fault::checkCorrupt("stream.write.corrupt", head.data(),
+                            head.size());
     const bool ok =
         std::fwrite(head.data(), 1, head.size(), file_) ==
             head.size() &&
-        std::fwrite(records, sizeof(Record), n, file_) == n;
-    fatalIf(!ok, ErrorCode::Io,
-            "failed writing chunk to " + tmpPath_);
-    instructions_ += insts;
-    recordCount_ += n;
+        std::fwrite(block.pcs.data(), sizeof(Pc), block.pcs.size(),
+                    file_) == block.pcs.size() &&
+        std::fwrite(block.words.data(), sizeof(std::uint64_t),
+                    block.words.size(), file_) == block.words.size();
+    if (!ok) [[unlikely]]
+        fatal(ErrorCode::Io, "failed writing chunk to " + tmpPath_);
+    instructions_ += c.instructions;
+    recordCount_ += c.count;
 }
 
 void
@@ -706,17 +757,16 @@ ChunkedTraceWriter::finish()
 {
     fatalIf(finished_, ErrorCode::Internal,
             "finish() called twice on " + path_);
-    if (!pending_.empty()) {
-        writeChunk(pending_.data(), pending_.size());
+    if (pending_.size() != 0) {
+        writeChunk(pending_.lastBlock());
         pending_.clear();
     }
     fault::checkIo("stream.write.finish", "finalizing " + path_);
 
     // Patch the header with the real totals, then fsync before the
     // rename so a crash can never publish a torn file at path_.
-    const std::string header = v3HeaderBytes(
-        name_, static_cast<std::uint64_t>(instructions_), recordCount_,
-        static_cast<std::uint32_t>(chunkRecords_));
+    const std::string header = headerBytes(
+        name_, static_cast<std::uint64_t>(instructions_), recordCount_);
     bool ok = std::fseek(file_, 0, SEEK_SET) == 0 &&
               std::fwrite(header.data(), 1, header.size(), file_) ==
                   header.size() &&

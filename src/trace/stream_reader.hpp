@@ -1,36 +1,46 @@
 /**
  * @file
- * The trace file codec. Format v3 is the only on-disk trace format;
+ * The trace file codec. Format v4 is the only on-disk trace format;
  * FileTraceSource is its one reader and ChunkedTraceWriter its one
  * writer (saveTrace in trace/trace_io.hpp is a convenience over the
- * writer).
+ * writer). A chunk is one in-memory Trace block (trace/trace.hpp), so
+ * the file and a resident trace share one codec: the writer encodes
+ * with Trace::Encoder, saveTrace copies a Trace's blocks as stored,
+ * and the reader decodes with Trace::decodeBlock.
  *
- * Layout (little-endian), chunked so multi-GB traces stream in bounded
- * memory and corruption is localized to one chunk:
+ * Layout (little-endian, every field 8-byte aligned), chunked so
+ * multi-GB traces stream in bounded memory and corruption is localized
+ * to one chunk:
  *
- *   32-byte fixed header  magic "MRPT", u32 version=3,
+ *   28-byte fixed header  magic "MRPT", u32 version=4,
  *                         u64 instructions, u64 record count,
- *                         u32 name length, u32 chunk capacity
- *                         (records per full chunk; the last may be
- *                         short)
- *   name bytes, zero pad  pad chosen so records land 16-byte aligned
+ *                         u32 name length
+ *   name bytes, zero pad  pad chosen so the chunks land 8-byte aligned
  *   u32 header CRC-32     covers every byte above
- *   chunks                each: u32 record count, u32 CRC-32,
- *                         u64 instructions, then the packed records;
- *                         the CRC covers the two count fields and the
- *                         records, so every chunk is independently
- *                         decodable and a flipped bit is reported
- *                         with the chunk's byte offset
+ *   chunks                each one Trace block of min(4096, records
+ *                         left) records: u32 record count, u32
+ *                         PC-table length, u32 CRC-32, u32 zero,
+ *                         u64 instructions, then the block's PC table
+ *                         (u64 each) and its words (u64 each: bits
+ *                         0-50 the packed record, 51-62 a slot into
+ *                         the table, 63 zero). The CRC covers the
+ *                         chunk's index in the file as a u64, every
+ *                         other header field, the table and the words,
+ *                         so each chunk is bound to its position and a
+ *                         flipped bit is reported with the chunk's
+ *                         byte offset
  *
- * Formats v1/v2 share the magic and the version field but are not
- * read: they fail with CorruptInput naming the version. An earlier
- * build that still reads them converts a file with
- * `mrp_sim_cli --trace OLD --dump NEW`.
+ * Formats v1-v3 share the magic and the version field but are not
+ * read: they fail with CorruptInput naming the version. Every trace is
+ * generated, so the way forward is to regenerate it:
+ * `mrp_sim_cli --benchmark NAME --insts N --dump FILE`.
  *
  * The reader validates every length field against the bytes actually
- * remaining before any allocation, and chunk/record totals against
- * the header at end of stream. All failures are typed FatalErrors
- * (CorruptInput/Io), never crashes.
+ * remaining before any allocation, each chunk's record count and
+ * table length against the header, each chunk's CRC, then, while
+ * decoding, every slot against its table, every reserved bit, and the
+ * chunk's instruction total; the file totals at end of stream. All
+ * failures are typed FatalErrors (CorruptInput/Io), never crashes.
  *
  * Fault-injection sites (see util/fault_injection.hpp):
  *   "stream.open"          IoError — fail FileTraceSource's open/stat
@@ -52,7 +62,6 @@
 #include <cstdio>
 #include <deque>
 #include <exception>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,7 +75,7 @@ namespace mrp::trace {
 /** How FileTraceSource gets bytes off the disk. */
 enum class FileMode {
     Buffered, //!< plain read(2)-style buffered reads (default)
-    Mmap,     //!< memory-map; chunks are zero-copy spans into the map
+    Mmap,     //!< memory-map; chunks decode straight from the map
 };
 
 /** Execution counters of a streaming source (perf introspection;
@@ -79,12 +88,13 @@ struct StreamStats
 };
 
 /**
- * Streams a v3 trace file chunk by chunk in O(chunk) memory. Buffered
- * mode reads each chunk into one reused buffer; mmap mode serves
- * zero-copy spans of the map and drops already-served pages via
- * madvise so residency stays bounded. Both modes share one decoder:
- * the header is validated on construction, each chunk as it is pulled,
- * and the totals at end of stream.
+ * Streams a v4 trace file chunk by chunk in O(chunk) memory, serving
+ * each chunk's records decoded into one reused buffer. Buffered mode
+ * reads each chunk into a reused byte buffer; mmap mode decodes
+ * straight from the map and drops already-served pages via madvise so
+ * residency stays bounded. Both modes share one decoder: the header is
+ * validated on construction, each chunk as it is pulled, and the
+ * totals at end of stream.
  */
 class FileTraceSource final : public TraceSource
 {
@@ -105,15 +115,17 @@ class FileTraceSource final : public TraceSource
     FileMode mode() const { return mode_; }
 
   private:
-    void openBuffered(); //!< open file_ and measure fileBytes_
-    void openMapped();   //!< map all fileBytes_ at map_
+    void mapFile(); //!< map all fileBytes_ at map_, closing fd_
+    void release(); //!< unmap, close
+    /** The file from byte @p at on, with at least min(@p want, bytes
+     * left) of it resident: in the map, or in the read-ahead window. */
+    const unsigned char* bytesAt(std::uint64_t at, std::uint64_t want);
 
     std::string path_;
     FileMode mode_;
     std::string name_;
     InstCount instructions_ = 0;
     std::uint64_t recordCount_ = 0;
-    std::uint32_t chunkCapacity_ = 0;
     std::uint64_t fileBytes_ = 0;
     std::uint64_t payloadStart_ = 0; //!< offset of the first chunk
 
@@ -122,9 +134,13 @@ class FileTraceSource final : public TraceSource
     std::uint64_t recordsServed_ = 0;
     InstCount instsServed_ = 0;
 
+    std::vector<Record> buffer_; //!< the served chunk, decoded
+
     // Buffered mode.
-    std::unique_ptr<std::ifstream> file_;
-    std::vector<Record> buffer_;
+    int fd_ = -1;
+    std::vector<std::uint64_t> window_; //!< read-ahead file bytes
+    std::uint64_t windowStart_ = 0;     //!< file offset of window_[0]
+    std::uint64_t windowEnd_ = 0;       //!< one past its last byte
 
     // Mmap mode.
     const unsigned char* map_ = nullptr;
@@ -187,31 +203,38 @@ class DecodeAheadSource final : public TraceSource
 };
 
 /**
- * The v3 encoder, incremental: appends chunks as they are produced,
+ * The v4 encoder, incremental: appends chunks as they are produced,
  * so a trace larger than RAM can be generated and saved in one
  * streaming pass. Writes go to "<path>.tmp.<pid>"; finish() patches
  * the header totals, fsyncs, and renames into place, so a crash
  * mid-write can never leave a torn file at the destination path.
- * Chunk boundaries depend only on the record count, never on how the
- * records were split across append() calls.
+ * Every chunk is one Trace block: the writer encodes records with
+ * Trace::Encoder and writes each block once it holds
+ * Trace::kBlockRecords records, and the last when finished. So the
+ * bytes depend only on the records, never on how they were split
+ * across append() calls.
  */
 class ChunkedTraceWriter
 {
   public:
     /** Throws Config for a name longer than the format allows (before
      * anything is created on disk), Io if the tmp cannot be created. */
-    ChunkedTraceWriter(std::string path, std::string trace_name,
-                       std::size_t chunk_records = kDefaultChunkRecords);
+    ChunkedTraceWriter(std::string path, std::string trace_name);
     ~ChunkedTraceWriter(); //!< abandons (removes) the tmp if unfinished
 
     ChunkedTraceWriter(const ChunkedTraceWriter&) = delete;
     ChunkedTraceWriter& operator=(const ChunkedTraceWriter&) = delete;
 
-    /**
-     * Append @p records as one or more chunks (splits at the chunk
-     * capacity; buffers partial chunks until full or finished).
-     */
+    /** Append @p records (a block is written once full; a partial
+     * one waits for more records or finish()). */
     void append(std::span<const Record> records);
+
+    /**
+     * Append @p trace's records. On a block boundary (always, unless
+     * records were appended before) its blocks are copied as stored,
+     * neither decoded nor re-encoded.
+     */
+    void append(const Trace& trace);
 
     /** Drain @p source into the file chunk by chunk. */
     void appendAll(TraceSource& source);
@@ -223,14 +246,13 @@ class ChunkedTraceWriter
     std::uint64_t recordCount() const { return recordCount_; }
 
   private:
-    void writeChunk(const Record* records, std::size_t n);
+    void writeChunk(Trace::Block block);
 
     std::string path_;
     std::string tmpPath_;
     std::string name_;
-    std::size_t chunkRecords_;
     std::FILE* file_ = nullptr;
-    std::vector<Record> pending_;
+    Trace::Encoder pending_; //!< the partial block, if any
     InstCount instructions_ = 0;
     std::uint64_t recordCount_ = 0;
     bool finished_ = false;

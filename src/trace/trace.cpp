@@ -5,6 +5,54 @@
 
 namespace mrp::trace {
 
+Trace::BlockCheck
+Trace::decodeBlock(Block block, Record* out)
+{
+    panicIf(block.pcs.empty(), "Trace::decodeBlock with an empty table");
+    const Pc* table = block.pcs.data();
+    const std::uint64_t last = block.pcs.size() - 1;
+    // Bits 51-63 as one number: a slot, plus 4096 if the reserved bit
+    // is set. Its maximum over the block answers both checks.
+    std::uint64_t max_slot = 0;
+    InstCount instructions = 0;
+    for (std::size_t k = 0; k < block.words.size(); ++k) {
+        const std::uint64_t w = block.words[k];
+        const std::uint64_t slot = w >> kSlotShift;
+        max_slot = std::max(max_slot, slot);
+        out[k] = unpack(table[std::min(slot, last)], w);
+        instructions += out[k].count();
+    }
+    return {max_slot > last, max_slot > kSlotMask, instructions};
+}
+
+InstCount
+Trace::instructionsOf(std::span<const std::uint64_t> words)
+{
+    InstCount n = 0;
+    for (const std::uint64_t w : words)
+        n += unpack(0, w).count();
+    return n;
+}
+
+Trace::Block
+Trace::blockOf(const Store& s, std::size_t i)
+{
+    const std::size_t first = i << kBlockBits;
+    const std::size_t table = s.tables[i];
+    const std::size_t table_end =
+        i + 1 < s.tables.size() ? s.tables[i + 1] : s.pcs.size();
+    return {{s.pcs.data() + table, table_end - table},
+            {s.words.data() + first,
+             std::min(kBlockRecords, s.words.size() - first)}};
+}
+
+Trace::Block
+Trace::block(std::size_t i) const
+{
+    panicIf(i >= blockCount(), "Trace::block past the end");
+    return blockOf(store_, i);
+}
+
 void
 Trace::Records::decode(std::size_t first, std::span<Record> out) const
 {
@@ -17,11 +65,14 @@ Trace::Records::decode(std::size_t first, std::span<Record> out) const
         const std::size_t block = at >> kBlockBits;
         const std::size_t n = std::min(out.size() - done,
                                        ((block + 1) << kBlockBits) - at);
-        const Pc* table = pcs_ + tables_[block];
-        const std::uint64_t* w = words_ + at;
-        Record* dst = out.data() + done;
-        for (std::size_t k = 0; k < n; ++k)
-            dst[k] = unpack(table[w[k] >> kSlotShift], w[k]);
+        const std::size_t table = tables_[block];
+        const std::size_t table_end =
+            block + 1 < blocks_ ? tables_[block + 1] : pcCount_;
+        const BlockCheck check = decodeBlock(
+            {{pcs_ + table, table_end - table}, {words_ + at, n}},
+            out.data() + done);
+        panicIf(check.slotOutsideTable || check.reservedBitSet,
+                "Trace::Records::decode: a stored word is malformed");
         done += n;
     }
 }
@@ -54,6 +105,41 @@ Trace::Encoder::slotOf(Pc pc)
         if (store_.pcs[table + e - 1] == pc)
             return e - 1;
     }
+}
+
+void
+Trace::Encoder::appendBlock(Block block)
+{
+    panicIf((store_.words.size() & (kBlockRecords - 1)) != 0 ||
+                block.words.size() > kBlockRecords,
+            "Trace::Encoder::appendBlock off a block boundary");
+    // Re-entering the table's PCs in slot order rebuilds the same
+    // table and the hash that later append() calls look PCs up in.
+    startBlock();
+    for (const Pc pc : block.pcs)
+        (void)slotOf(pc);
+    panicIf(store_.pcs.size() - store_.tables.back() != block.pcs.size(),
+            "Trace::Encoder::appendBlock: a PC repeats in the table");
+    store_.words.insert(store_.words.end(), block.words.begin(),
+                        block.words.end());
+    instructions_ += instructionsOf(block.words);
+}
+
+Trace::Block
+Trace::Encoder::lastBlock() const
+{
+    if (store_.tables.empty())
+        return {};
+    return blockOf(store_, store_.tables.size() - 1);
+}
+
+void
+Trace::Encoder::clear()
+{
+    store_.words.clear();
+    store_.pcs.clear();
+    store_.tables.clear();
+    instructions_ = 0;
 }
 
 Trace

@@ -9,7 +9,14 @@
  * kBlockRecords; a slot indexes its block's own table of distinct PCs.
  * A block of 4096 records has at most 4096 distinct PCs, so 12 slot
  * bits always suffice and the encoding is lossless for any trace.
- * Records are decoded back to 16-byte Record values on read.
+ * Bit 63 is reserved and always clear. Records are decoded back to
+ * 16-byte Record values on read.
+ *
+ * A block, its PC table followed by its words, is also the payload of
+ * one chunk of a v4 trace file (trace/stream_reader.hpp): saveTrace
+ * writes the blocks as stored, ChunkedTraceWriter encodes with
+ * Trace::Encoder, and FileTraceSource decodes with decodeBlock, the
+ * routine behind Records::decode.
  */
 
 #ifndef MRP_TRACE_TRACE_HPP
@@ -48,6 +55,34 @@ class Trace
     static constexpr std::size_t kBlockRecords = std::size_t{1}
                                                  << kBlockBits;
 
+    /** One block as stored: its PC table and its words. */
+    struct Block
+    {
+        std::span<const Pc> pcs;
+        std::span<const std::uint64_t> words;
+    };
+
+    /** What decodeBlock found in the words it decoded. */
+    struct BlockCheck
+    {
+        /** Some slot >= pcs.size() (also set with reservedBitSet). */
+        bool slotOutsideTable = false;
+        bool reservedBitSet = false; //!< some word has bit 63 set
+        InstCount instructions = 0;  //!< sum of the records' counts
+    };
+
+    /**
+     * Decode @p block's words (any run of one block's words, with that
+     * block's whole non-empty table) into @p out, which has room for
+     * them. Branch-free in the words: a slot outside the table is
+     * clamped into it and reported, never read out of bounds, so raw
+     * file bytes decode safely and the caller judges the block once.
+     */
+    static BlockCheck decodeBlock(Block block, Record* out);
+
+    /** Sum of the instruction counts of the records @p words hold. */
+    static InstCount instructionsOf(std::span<const std::uint64_t> words);
+
     /**
      * Read-only random-access view of the records, decoding each on
      * access. Valid while the Trace lives (moving the Trace keeps it
@@ -73,14 +108,16 @@ class Trace
         iterator begin() const;
         iterator end() const;
 
-        /** Decode records [@p first, @p first + out.size()) into @p out. */
+        /** Decode records [@p first, @p first + out.size()) into @p
+         * out, block by block with decodeBlock. */
         void decode(std::size_t first, std::span<Record> out) const;
 
       private:
         friend class Trace;
         explicit Records(const Store& s)
             : words_(s.words.data()), pcs_(s.pcs.data()),
-              tables_(s.tables.data()), size_(s.words.size())
+              tables_(s.tables.data()), size_(s.words.size()),
+              blocks_(s.tables.size()), pcCount_(s.pcs.size())
         {
         }
 
@@ -88,6 +125,8 @@ class Trace
         const Pc* pcs_ = nullptr;
         const std::size_t* tables_ = nullptr;
         std::size_t size_ = 0;
+        std::size_t blocks_ = 0;
+        std::size_t pcCount_ = 0;
     };
 
     /**
@@ -118,8 +157,24 @@ class Trace
                 append(r);
         }
 
+        /**
+         * Append a block as stored, without decoding it. Only on a
+         * block boundary; a short @p block may then be extended by
+         * further append() calls.
+         */
+        void appendBlock(Block block);
+
+        /** Records appended so far. */
+        std::size_t size() const { return store_.words.size(); }
+
         /** Sum of count() over the records appended so far. */
         InstCount instructions() const { return instructions_; }
+
+        /** The block records are being appended to (empty if none). */
+        Block lastBlock() const;
+
+        /** Drop every record, as if newly constructed. */
+        void clear();
 
         /**
          * Seal into a Trace. Throws CorruptInput unless the records'
@@ -149,6 +204,12 @@ class Trace
     const std::string& name() const { return name_; }
     Records records() const { return Records(store_); }
 
+    /** Number of blocks; all but the last hold kBlockRecords. */
+    std::size_t blockCount() const { return store_.tables.size(); }
+
+    /** Block @p i as stored. */
+    Block block(std::size_t i) const;
+
     /** Total instructions represented (expanding non-memory runs). */
     InstCount instructions() const { return instructions_; }
 
@@ -159,8 +220,12 @@ class Trace
     static constexpr unsigned kSlotShift = Record::kPackedBits;
     static constexpr std::uint64_t kPackedMask =
         (std::uint64_t{1} << kSlotShift) - 1;
+    static constexpr std::uint64_t kSlotMask =
+        (std::uint64_t{1} << kBlockBits) - 1;
 
     Trace(std::string name, Store store, InstCount instructions);
+
+    static Block blockOf(const Store& s, std::size_t i);
 
     static std::uint64_t
     pack(const Record& r, std::uint64_t slot)

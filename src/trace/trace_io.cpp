@@ -8,8 +8,7 @@ void
 saveTrace(const std::string& path, const Trace& trace)
 {
     ChunkedTraceWriter w(path, trace.name());
-    MaterializedTraceSource src(trace);
-    w.appendAll(src);
+    w.append(trace);
     w.finish();
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Whole-trace save: writes an in-memory Trace as a v3 chunked file
+ * Whole-trace save: writes an in-memory Trace as a v4 chunked file
  * (layout in trace/stream_reader.hpp), so workloads can be generated
- * once and archived.
+ * once and archived. A v4 chunk is one Trace block, so the blocks go
+ * to disk as stored, neither decoded nor re-encoded.
  *
- * This is a convenience over ChunkedTraceWriter, the one v3 encoder.
+ * This is a convenience over ChunkedTraceWriter, the one v4 encoder.
  * There is no whole-trace loader: read a file back with
  * FileTraceSource, and materialize() it when every record must be
  * resident.
@@ -23,7 +24,7 @@
 namespace mrp::trace {
 
 /**
- * Write @p trace to @p path as a v3 file, atomically: the bytes land in
+ * Write @p trace to @p path as a v4 file, atomically: the bytes land in
  * a same-directory temp file which is fsynced and renamed into place,
  * so a crashed writer can never leave a torn file at @p path. Throws
  * FatalError: Config for a name longer than the format allows, Io on

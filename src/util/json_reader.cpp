@@ -141,6 +141,9 @@ class Parser
         out->clear();
         while (pos_ < text_.size() && text_[pos_] != '"') {
             char c = text_[pos_++];
+            // RFC 8259: control characters must be escaped.
+            if (static_cast<unsigned char>(c) < 0x20)
+                return false;
             if (c != '\\') {
                 *out += c;
                 continue;
@@ -194,18 +197,37 @@ class Parser
         return consume('"');
     }
 
+    /** Consume a run of digits; false if there is none. */
+    bool
+    digits()
+    {
+        const std::size_t start = pos_;
+        while (pos_ < text_.size() && text_[pos_] >= '0' &&
+               text_[pos_] <= '9')
+            ++pos_;
+        return pos_ > start;
+    }
+
+    /** RFC 8259: [-] (0 | [1-9][0-9]*) [. [0-9]+] [(e|E) [+|-] [0-9]+] */
     bool
     parseNumber(Value* out)
     {
         const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (text_[pos_] == '+' || text_[pos_] == '-' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' ||
-                (text_[pos_] >= '0' && text_[pos_] <= '9')))
-            ++pos_;
-        if (pos_ == start)
+        consume('-');
+        if (consume('0')) {
+            // No leading zeros: "028" is not a number.
+        } else if (pos_ >= text_.size() || text_[pos_] < '1' ||
+                   text_[pos_] > '9' || !digits()) {
             return false;
+        }
+        if (consume('.') && !digits())
+            return false;
+        if (consume('e') || consume('E')) {
+            if (!consume('+'))
+                consume('-');
+            if (!digits())
+                return false;
+        }
         const std::string tok(text_.substr(start, pos_ - start));
         char* rest = nullptr;
         out->type = Value::Type::Number;

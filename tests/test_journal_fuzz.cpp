@@ -30,6 +30,7 @@
 #include "trace/spec.hpp"
 #include "trace/workloads.hpp"
 #include "util/journal.hpp"
+#include "util/json_reader.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -220,6 +221,18 @@ TEST(JournalFuzzTest, CorpusLinesRoundTrip)
         const auto json = journal::unframeLine(line);
         ASSERT_TRUE(json.has_value()) << line;
         EXPECT_EQ(journal::frameLine(*json), line);
+    }
+}
+
+TEST(JournalFuzzTest, EveryBodyIsStrictJson)
+{
+    // The strict generic reader accepts every body the runner writes,
+    // every number formatted by json::formatDouble included.
+    ASSERT_FALSE(bodies().empty());
+    for (const auto& body : bodies()) {
+        json::Value v;
+        EXPECT_TRUE(json::tryParseJson(body, &v)) << body;
+        EXPECT_TRUE(v.isObject()) << body;
     }
 }
 

@@ -45,10 +45,10 @@ TEST(StreamRss, LargeTraceStreamsInBoundedMemory)
     const std::string path =
         "stream_rss_" + std::to_string(::getpid()) + ".mrpt";
 
-    // ~17M records at 16 bytes each is ~272 MB of payload. With the
+    // ~34M records at 8 bytes each is ~274 MB of payload. With the
     // default 6 pads per access, that is ~2 records per 7 instructions.
     trace::ZipfParams p;
-    p.instructions = 60'000'000;
+    p.instructions = 120'000'000;
     p.keys = 1u << 20;
     const auto spec = trace::TraceSpec::zipf(p);
 
@@ -84,7 +84,7 @@ TEST(StreamRss, LargeTraceStreamsInBoundedMemory)
             records += c.size();
     }
     std::remove(path.c_str());
-    EXPECT_GT(records, std::uint64_t{3} * 17'000'000);
+    EXPECT_GT(records, std::uint64_t{3} * 34'000'000);
 
     const std::uint64_t peak = peakRssBytes();
     EXPECT_LT(peak, trace_bytes / 4)

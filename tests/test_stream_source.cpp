@@ -1,7 +1,7 @@
 /**
  * @file
  * Streaming-trace conformance suite: the TraceSource contract
- * (chunking invariance, reset replay), the chunked v3 file format
+ * (chunking invariance, reset replay), the chunked v4 file format
  * (round trips, per-chunk CRC localization, atomic writes), the
  * decode-ahead wrapper (equivalence, fault position, abandonment), and
  * the generator families (exact budgets, Zipf skew sanity).
@@ -177,7 +177,7 @@ TEST_F(StreamSourceTest, MaterializeRoundsTripsIdentityAndTotals)
 }
 
 // ---------------------------------------------------------------------
-// Chunked v3 files
+// Chunked v4 files
 
 TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaMaterialize)
 {
@@ -186,7 +186,7 @@ TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaMaterialize)
     const auto reference = drain(*spec.open());
     {
         trace::ChunkedTraceWriter writer(file.path(),
-                                         spec.displayName(), 1000);
+                                         spec.displayName());
         auto s = spec.open();
         writer.appendAll(*s);
         writer.finish();
@@ -214,40 +214,52 @@ TEST_F(StreamSourceTest, FileRoundTripsInBothModesAndViaMaterialize)
     EXPECT_TRUE(sameRecords(reference, recordsOf(loaded)));
 }
 
-TEST_F(StreamSourceTest, WriterChunkSizeChangesBytesNotRecords)
+TEST_F(StreamSourceTest, WriterBytesIgnoreHowAppendsAreSplit)
 {
+    // Every chunk is one 4096-record block, whatever spans the records
+    // arrive in: sources pulled 128 or 65536 records at a time write
+    // the same bytes.
     TempTraceFile small("chunk_small");
     TempTraceFile large("chunk_large");
-    const auto spec = trace::TraceSpec::zipf(smallZipf(60000));
     for (const auto* f : {&small, &large}) {
-        trace::ChunkedTraceWriter writer(f->path(),
-                                         spec.displayName(),
-                                         f == &small ? 128 : 1 << 16);
+        auto p = smallZipf(60000);
+        p.chunkRecords = f == &small ? 128 : 1 << 16;
+        const auto spec = trace::TraceSpec::zipf(p);
+        trace::ChunkedTraceWriter writer(f->path(), spec.displayName());
         auto s = spec.open();
         writer.appendAll(*s);
         writer.finish();
+        EXPECT_GT(writer.recordCount(), 4 * trace::Trace::kBlockRecords);
     }
-    trace::FileTraceSource a(small.path(), trace::FileMode::Buffered);
-    trace::FileTraceSource b(large.path(), trace::FileMode::Buffered);
-    EXPECT_TRUE(sameRecords(drain(a), drain(b)));
+    const auto bytes = [](const std::string& path) {
+        std::ifstream f(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(f),
+                           std::istreambuf_iterator<char>());
+    };
+    EXPECT_TRUE(bytes(small.path()) == bytes(large.path()));
 }
 
 TEST_F(StreamSourceTest, MidChunkCorruptionIsRejectedWithByteOffset)
 {
     TempTraceFile file("crc");
     {
-        trace::ChunkedTraceWriter writer(file.path(), "t", 500);
+        trace::ChunkedTraceWriter writer(file.path(), "t");
         auto s = trace::makeZipfSource(smallZipf(60000));
         writer.appendAll(*s);
         writer.finish();
     }
-    // First chunk's payload starts at v3PayloadStart(1) + the 16-byte
-    // chunk header; flip one byte inside the first record.
-    const auto payload =
-        trace::wire::v3PayloadStart(1) + trace::wire::kChunkHeaderBytes;
+    // The first chunk's header is at payloadStart(1); its words follow
+    // the header and its PC table. Flip one byte inside the first
+    // record.
+    const auto head = trace::wire::payloadStart(1);
     {
         std::fstream f(file.path(),
                        std::ios::in | std::ios::out | std::ios::binary);
+        std::uint32_t table_len = 0;
+        f.seekg(static_cast<std::streamoff>(head + 4));
+        f.read(reinterpret_cast<char*>(&table_len), sizeof(table_len));
+        const auto payload = head + trace::wire::kChunkHeaderBytes +
+                             table_len * sizeof(std::uint64_t);
         f.seekp(static_cast<std::streamoff>(payload + 5));
         char byte = 0;
         f.seekg(static_cast<std::streamoff>(payload + 5));
@@ -275,8 +287,8 @@ TEST_F(StreamSourceTest, CorruptionIsLocalizedToItsChunk)
 {
     TempTraceFile file("crc_local");
     {
-        trace::ChunkedTraceWriter writer(file.path(), "t", 200);
-        auto s = trace::makeZipfSource(smallZipf(60000));
+        trace::ChunkedTraceWriter writer(file.path(), "t");
+        auto s = trace::makeZipfSource(smallZipf());
         writer.appendAll(*s);
         writer.finish();
     }
@@ -319,7 +331,7 @@ TEST_F(StreamSourceTest, TruncatedFileIsRejected)
 {
     TempTraceFile file("trunc");
     {
-        trace::ChunkedTraceWriter writer(file.path(), "t", 500);
+        trace::ChunkedTraceWriter writer(file.path(), "t");
         auto s = trace::makeZipfSource(smallZipf(60000));
         writer.appendAll(*s);
         writer.finish();
@@ -360,7 +372,7 @@ TEST_F(StreamSourceTest, WriterFinishFaultLeavesNoTmpAndOldFileIntact)
         file.path() + ".tmp." + std::to_string(::getpid());
     {
         fault::Scoped f("stream.write.finish", fault::Spec{});
-        trace::ChunkedTraceWriter writer(file.path(), "t", 500);
+        trace::ChunkedTraceWriter writer(file.path(), "t");
         auto s = trace::makeZipfSource(smallZipf(30000));
         writer.appendAll(*s);
         EXPECT_THROW(writer.finish(), FatalError);
@@ -379,7 +391,7 @@ TEST_F(StreamSourceTest, AbandonedWriterRemovesItsTmp)
     const std::string tmp =
         file.path() + ".tmp." + std::to_string(::getpid());
     {
-        trace::ChunkedTraceWriter writer(file.path(), "t", 500);
+        trace::ChunkedTraceWriter writer(file.path(), "t");
         auto s = trace::makeZipfSource(smallZipf(30000));
         writer.appendAll(*s);
         // destroyed without finish()
@@ -397,7 +409,7 @@ TEST_F(StreamSourceTest, DecodeAheadDeliversTheSameStream)
     const auto spec = trace::TraceSpec::zipf(smallZipf());
     {
         trace::ChunkedTraceWriter writer(file.path(),
-                                         spec.displayName(), 1000);
+                                         spec.displayName());
         auto s = spec.open();
         writer.appendAll(*s);
         writer.finish();
@@ -420,7 +432,7 @@ TEST_F(StreamSourceTest, DecodeAheadFaultSurfacesAtTheFailingChunk)
 {
     TempTraceFile file("da_fault");
     {
-        trace::ChunkedTraceWriter writer(file.path(), "t", 200);
+        trace::ChunkedTraceWriter writer(file.path(), "t");
         auto s = trace::makeZipfSource(smallZipf(100000));
         writer.appendAll(*s);
         writer.finish();
@@ -542,8 +554,7 @@ TEST_F(StreamSourceTest, SpecIdentityMatchesTheOpenedSource)
 {
     TempTraceFile file("spec_id");
     {
-        trace::ChunkedTraceWriter writer(file.path(), "filetrace",
-                                         500);
+        trace::ChunkedTraceWriter writer(file.path(), "filetrace");
         auto s = trace::makeZipfSource(smallZipf(50000));
         writer.appendAll(*s);
         writer.finish();
@@ -580,7 +591,7 @@ TEST_F(StreamSourceTest, WithInstructionsRegeneratesNotTruncates)
 
     TempTraceFile file("resize");
     {
-        trace::ChunkedTraceWriter writer(file.path(), "t", 500);
+        trace::ChunkedTraceWriter writer(file.path(), "t");
         auto s = trace::makeZipfSource(smallZipf(30000));
         writer.appendAll(*s);
         writer.finish();
@@ -604,7 +615,7 @@ TEST_F(StreamSourceTest, OpenFaultSitesSurfaceTypedErrors)
 {
     TempTraceFile file("open_fault");
     {
-        trace::ChunkedTraceWriter writer(file.path(), "t", 500);
+        trace::ChunkedTraceWriter writer(file.path(), "t");
         auto s = trace::makeZipfSource(smallZipf(30000));
         writer.appendAll(*s);
         writer.finish();

@@ -502,5 +502,31 @@ TEST(StudyTest, GeneticRefinementNeverLosesToGreedySeed)
     }
 }
 
+TEST(CorpusFamilyTest, ZipfThetaMustBeAFiniteNonNegativeNumber)
+{
+    EXPECT_EQ(corpusFamilySpec("zipf", 20000, 1).displayName(), "zipf");
+    const auto skewed = corpusFamilySpec("zipf:0.8", 20000, 1);
+    EXPECT_EQ(skewed.displayName(), "zipf:0.8");
+    EXPECT_EQ(skewed.instructions(), 20000u);
+    for (const char* bad : {"zipf:", "zipf:abc", "zipf:0.5x", "zipf: 0.5",
+                            "zipf:+0.5", "zipf:-0.1", "zipf:nan",
+                            "zipf:inf", "zipf:1e999"}) {
+        try {
+            (void)corpusFamilySpec(bad, 20000, 1);
+            FAIL() << "accepted '" << bad << "'";
+        } catch (const FatalError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::Config) << bad;
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + bad +
+                                                 "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Finite and non-negative, but not a valid skew: the generator
+    // refuses it when the source opens.
+    EXPECT_THROW((void)corpusFamilySpec("zipf:1.5", 20000, 1).open(),
+                 FatalError);
+}
+
 } // namespace
 } // namespace mrp::sweep

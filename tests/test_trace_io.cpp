@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the v3 trace file codec end to end: saveTrace and
+ * Tests for the v4 trace file codec end to end: saveTrace and
  * ChunkedTraceWriter write, FileTraceSource reads (streamed or
- * materialized), in both FileModes. Covers round trips, the typed
- * rejection of v1/v2 files, a corrupt-input suite (truncation at every
- * header boundary, oversized length fields, wrong totals, trailing
- * bytes, a seeded single-bit-flip sweep over whole files, a seeded
- * mutation loop of truncations, chunk duplications and splices), and
- * the stream.* fault sites. Every rejection must be a typed
- * FatalError: no crash, no unbounded allocation, no leaked file.
+ * materialized), in both FileModes. Covers round trips, saveTrace's
+ * bytes against the record-by-record writer, the typed rejection of
+ * v1-v3 files, a corrupt-input suite (truncation at every header
+ * boundary, oversized length fields, wrong totals, trailing bytes, a
+ * seeded single-bit-flip sweep over whole files, a seeded mutation
+ * loop of truncations, chunk duplications and splices, every swap of
+ * two chunks, and re-sealed edits that reach each check behind a valid
+ * chunk CRC), and the stream.* fault sites. Every rejection must be a
+ * typed FatalError: no crash, no unbounded allocation, no leaked file.
  */
 
 #include <gtest/gtest.h>
@@ -132,16 +134,27 @@ openFds()
     return n;
 }
 
-/** v3 image of @p trace in chunks of @p chunk_records; small by
- * default so every corruption case spans several chunks. */
+/** v4 image of @p trace, written record by record. */
 std::string
-bytesOf(const Trace& trace, std::size_t chunk_records = 500)
+bytesOf(const Trace& trace)
 {
     TempPath p("image");
-    ChunkedTraceWriter w(p.str(), trace.name(), chunk_records);
+    ChunkedTraceWriter w(p.str(), trace.name());
     w.append(recordsOf(trace));
     w.finish();
     return readFile(p.str());
+}
+
+/** A suite trace of at least @p chunks chunks (whole 4096-record
+ * blocks plus a short last one), so every corruption case below spans
+ * several. */
+Trace
+multiChunkTrace(unsigned index, std::size_t chunks)
+{
+    Trace t = makeSuiteTrace(index, chunks * 40000 + 777);
+    EXPECT_GT(t.records().size(), (chunks - 1) * Trace::kBlockRecords);
+    EXPECT_NE(t.records().size() % Trace::kBlockRecords, 0u);
+    return t;
 }
 
 /** Read @p path whole through FileTraceSource in @p mode. */
@@ -195,7 +208,7 @@ resealHeader(std::string& bytes)
 {
     std::uint32_t name_len = 0;
     std::memcpy(&name_len, &bytes[24], sizeof(name_len));
-    const std::size_t crc_at = wire::v3PayloadStart(name_len) - 4;
+    const std::size_t crc_at = wire::payloadStart(name_len) - 4;
     const std::uint32_t crc = Crc32::of(bytes.data(), crc_at);
     std::memcpy(&bytes[crc_at], &crc, sizeof(crc));
 }
@@ -204,11 +217,11 @@ TEST(TraceIoTest, RoundTripsThroughStream)
 {
     // Chunks in and out: appendAll from a source whose chunks straddle
     // the writer's, then drain the file without materializing it.
-    const Trace original = makeSuiteTrace(22, 30000); // pointer chase
+    const Trace original = multiChunkTrace(22, 4); // pointer chase
     TempPath p("stream");
     {
         MaterializedTraceSource src(original, 777);
-        ChunkedTraceWriter w(p.str(), original.name(), 1000);
+        ChunkedTraceWriter w(p.str(), original.name());
         w.appendAll(src);
         w.finish();
         EXPECT_EQ(w.instructions(), original.instructions());
@@ -218,9 +231,10 @@ TEST(TraceIoTest, RoundTripsThroughStream)
         FileTraceSource s(p.str(), mode);
         std::vector<Record> got;
         for (auto c = s.nextChunk(); !c.empty(); c = s.nextChunk()) {
-            EXPECT_LE(c.size(), 1000u);
+            EXPECT_LE(c.size(), Trace::kBlockRecords);
             got.insert(got.end(), c.begin(), c.end());
         }
+        EXPECT_GE(s.stats().chunksDecoded, 4u);
         expectEqualTraces(
             original, Trace(s.name(), std::move(got), s.instructions()));
     }
@@ -235,28 +249,60 @@ TEST(TraceIoTest, RoundTripsThroughFile)
         expectEqualTraces(original, load(p.str(), mode));
 }
 
-TEST(TraceIoTest, V3RoundTripsExplicitly)
+TEST(TraceIoTest, SaveTraceEqualsUnevenWriterAppends)
 {
-    // append() calls of uneven sizes, below and above the chunk
-    // capacity, cut the same chunks as one whole-trace append.
-    const Trace original = makeSuiteTrace(22, 30000);
-    const std::string whole = bytesOf(original, 256);
-    TempPath p("pieces");
+    // saveTrace copies the trace's blocks as stored; a writer fed the
+    // same records in appends of 1, 7, 4095 and 4097 records, straddling
+    // every block boundary, encodes the same blocks. The file is the
+    // header, then per block a chunk header, the PC table and 8 bytes
+    // per record.
+    const Trace original = multiChunkTrace(22, 6);
+    TempPath saved("saved");
+    saveTrace(saved.str(), original);
+    TempPath pieces("pieces");
     {
-        ChunkedTraceWriter w(p.str(), original.name(), 256);
+        ChunkedTraceWriter w(pieces.str(), original.name());
         const auto all = recordsOf(original);
         std::span<const Record> rest(all);
-        for (std::size_t step = 1; !rest.empty();
-             step = step * 3 % 1000 + 1) {
-            const auto piece = rest.first(std::min(step, rest.size()));
+        constexpr std::size_t kSteps[] = {1, 7, 4095, 4097};
+        for (std::size_t i = 0; !rest.empty(); ++i) {
+            const auto piece =
+                rest.first(std::min(kSteps[i % 4], rest.size()));
             w.append(piece);
             rest = rest.subspan(piece.size());
         }
         w.finish();
     }
-    EXPECT_EQ(readFile(p.str()), whole);
+    const std::string bytes = readFile(saved.str());
+    EXPECT_TRUE(bytes == readFile(pieces.str()))
+        << "saveTrace bytes differ from the writer's";
+    std::size_t expected = wire::payloadStart(original.name().size());
+    for (std::size_t i = 0; i < original.blockCount(); ++i)
+        expected += wire::kChunkHeaderBytes +
+                    original.block(i).pcs.size_bytes() +
+                    original.block(i).words.size_bytes();
+    EXPECT_EQ(bytes.size(), expected);
     for (const auto mode : kModes)
-        expectEqualTraces(original, load(p.str(), mode));
+        expectEqualTraces(original, load(saved.str(), mode));
+}
+
+TEST(TraceIoTest, WriterAppendsATraceOffABlockBoundary)
+{
+    // A trace appended after loose records cannot keep its blocks; its
+    // records are re-encoded into the writer's blocks.
+    const Trace t = multiChunkTrace(9, 2);
+    const auto recs = recordsOf(t);
+    std::vector<Record> both = {Record::nonMem(0x400, 3)};
+    both.insert(both.end(), recs.begin(), recs.end());
+    TempPath p("offset");
+    {
+        ChunkedTraceWriter w(p.str(), "both");
+        w.append(std::span<const Record>(both).first(1));
+        w.append(t);
+        w.finish();
+    }
+    expectEqualTraces(Trace("both", both, t.instructions() + 3),
+                      load(p.str(), FileMode::Buffered));
 }
 
 TEST(TraceIoTest, RejectsBadMagic)
@@ -266,9 +312,9 @@ TEST(TraceIoTest, RejectsBadMagic)
 
 TEST(TraceIoTest, RejectsV1AndV2HeadersWithTypedError)
 {
-    // Only v3 is read. A v1/v2 file fails up front with a typed error
-    // that names its version and the conversion route, from the reader
-    // and from TraceSpec::file (the CLI's --trace path) alike.
+    // Only v4 is read. A v1/v2 file fails up front with a typed error
+    // that names its version and the regeneration route, from the
+    // reader and from TraceSpec::file (the CLI's --trace path) alike.
     for (const std::uint32_t version : {1u, 2u}) {
         // The 28-byte header both formats share: magic, version, then
         // zero instruction count, record count and name length.
@@ -278,6 +324,7 @@ TEST(TraceIoTest, RejectsV1AndV2HeadersWithTypedError)
         bytes.append(20, '\0');
         ASSERT_EQ(bytes.size(), 28u);
         expectCorrupt(bytes, "version " + std::to_string(version));
+        expectCorrupt(bytes, "--benchmark");
         expectCorrupt(bytes, "--dump");
 
         TempPath p("legacy");
@@ -289,6 +336,45 @@ TEST(TraceIoTest, RejectsV1AndV2HeadersWithTypedError)
         } catch (const FatalError& e) {
             EXPECT_EQ(e.code(), ErrorCode::CorruptInput) << e.what();
         }
+    }
+}
+
+TEST(TraceIoTest, RejectsV3HeadersWithTypedError)
+{
+    // A well-formed v3 header: the 32-byte fixed fields (v3 had a chunk
+    // capacity after the name length), the name, the pad to 16 bytes
+    // and its header CRC, then one chunk of two 16-byte records.
+    const std::string name = "scan.a";
+    std::string bytes(wire::kMagic, sizeof(wire::kMagic));
+    const auto put32 = [&](std::uint32_t v) {
+        bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    const auto put64 = [&](std::uint64_t v) {
+        bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put32(3);
+    put64(2);
+    put64(2);
+    put32(static_cast<std::uint32_t>(name.size()));
+    put32(65536);
+    bytes += name;
+    bytes.append((16 - (32 + name.size() + 4) % 16) % 16, '\0');
+    put32(Crc32::of(bytes.data(), bytes.size()));
+    ASSERT_EQ(bytes.size() % 16, 0u);
+    bytes.append(16 + 2 * sizeof(Record), '\0');
+    expectCorrupt(bytes, "unsupported trace format version 3");
+    expectCorrupt(bytes, "regenerate the trace with 'mrp_sim_cli "
+                         "--benchmark NAME --insts N --dump FILE'");
+    TempPath p("v3");
+    writeFile(p.str(), bytes);
+    try {
+        (void)TraceSpec::file(p.str());
+        FAIL() << "TraceSpec::file accepted a v3 file";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::CorruptInput) << e.what();
+        EXPECT_NE(std::string(e.what()).find("version 3"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -318,13 +404,13 @@ TEST(TraceIoTest, MissingFile)
 
 TEST(TraceIoTest, RejectsTruncationAtEveryHeaderBoundary)
 {
-    const Trace original = makeSuiteTrace(0, 5000);
+    const Trace original = multiChunkTrace(0, 3);
     const std::string bytes = bytesOf(original);
     // Every cut through the fixed fields, name, pad, header CRC and
     // first chunk header, a sample of cuts through the chunks, and
     // every cut through the last few bytes.
     const std::size_t first_chunk_end =
-        wire::v3PayloadStart(original.name().size()) +
+        wire::payloadStart(original.name().size()) +
         wire::kChunkHeaderBytes;
     std::vector<std::size_t> cuts;
     for (std::size_t c = 0; c <= first_chunk_end; ++c)
@@ -350,7 +436,7 @@ TEST(TraceIoTest, TruncationDiagnosticsReportOffsets)
 {
     const std::string bytes = bytesOf(makeSuiteTrace(0, 5000));
     // One cut inside the name, one inside the chunks.
-    expectCorrupt(bytes.substr(0, wire::kV3FixedBytes + 1), "offset");
+    expectCorrupt(bytes.substr(0, wire::kFixedBytes + 1), "offset");
     expectCorrupt(bytes.substr(0, bytes.size() - 100), "offset");
 }
 
@@ -358,7 +444,7 @@ TEST(TraceIoTest, RejectsBitFlippedHeaderCrc)
 {
     const Trace original = makeSuiteTrace(1, 5000);
     std::string bytes = bytesOf(original);
-    bytes[wire::v3PayloadStart(original.name().size()) - 2] ^= 0x10;
+    bytes[wire::payloadStart(original.name().size()) - 2] ^= 0x10;
     expectCorrupt(bytes, "header CRC mismatch");
 }
 
@@ -370,22 +456,22 @@ TEST(TraceIoTest, CrcCatchesPayloadBitFlips)
     expectCorrupt(bytes, "chunk CRC mismatch");
 }
 
-TEST(TraceIoTest, V3CrcCatchesPayloadBitFlips)
+TEST(TraceIoTest, ChunkCrcCoversTheChunkHeader)
 {
     // The chunk CRC also covers the chunk header's count fields.
     const Trace original = makeSuiteTrace(1, 5000);
     std::string bytes = bytesOf(original);
     // A bit of the first chunk's instruction count.
-    bytes[wire::v3PayloadStart(original.name().size()) + 9] ^= 0x04;
+    bytes[wire::payloadStart(original.name().size()) + 17] ^= 0x04;
     expectCorrupt(bytes, "chunk CRC mismatch");
 }
 
-TEST(TraceIoTest, V3RejectsHeaderBitFlips)
+TEST(TraceIoTest, RejectsHeaderBitFlips)
 {
     // The header CRC catches a flipped bit even in a field that still
     // parses, such as the name.
     std::string bytes = bytesOf(makeSuiteTrace(1, 5000));
-    bytes[wire::kV3FixedBytes + 1] ^= 0x01; // second byte of the name
+    bytes[wire::kFixedBytes + 1] ^= 0x01; // second byte of the name
     expectCorrupt(bytes, "header CRC mismatch");
 }
 
@@ -425,7 +511,7 @@ TEST(TraceIoTest, RejectsPlausibleButWrongRecordCount)
     expectCorrupt(bytes, "record count");
 }
 
-TEST(TraceIoTest, V3RejectsTrailingGarbage)
+TEST(TraceIoTest, RejectsTrailingGarbage)
 {
     // A chunked payload knows exactly where it ends; stray bytes after
     // the last chunk mean the file is not what its header claims.
@@ -440,7 +526,7 @@ TEST(TraceIoTest, SeededBitFlipsAreAlwaysRejected)
     // (header, padding, chunk headers, records). The header and chunk
     // CRC-32s detect every single-bit error, so no flip may read back
     // cleanly in either mode.
-    const std::string clean = bytesOf(makeSuiteTrace(2, 5000));
+    const std::string clean = bytesOf(multiChunkTrace(2, 3));
     TempPath p("bitflip");
     Rng rng(12345);
     for (int i = 0; i < 256; ++i) {
@@ -458,37 +544,94 @@ TEST(TraceIoTest, SeededBitFlipsAreAlwaysRejected)
     }
 }
 
-/** File offsets of the chunk headers of the v3 image @p bytes. */
+/** Fields of a chunk header of a v4 image. */
+struct ChunkFields
+{
+    std::uint32_t count = 0;
+    std::uint32_t tableLen = 0;
+    std::uint32_t crc = 0;
+    std::uint32_t zero = 0;
+    std::uint64_t instructions = 0;
+};
+
+ChunkFields
+chunkAt(const std::string& bytes, std::size_t at)
+{
+    ChunkFields c;
+    std::memcpy(&c.count, &bytes[at], 4);
+    std::memcpy(&c.tableLen, &bytes[at + 4], 4);
+    std::memcpy(&c.crc, &bytes[at + 8], 4);
+    std::memcpy(&c.zero, &bytes[at + 12], 4);
+    std::memcpy(&c.instructions, &bytes[at + 16], 8);
+    return c;
+}
+
+/** File offsets of the chunk headers of the v4 image @p bytes. */
 std::vector<std::size_t>
 chunkStarts(const std::string& bytes, std::size_t name_len)
 {
     std::vector<std::size_t> starts;
-    for (std::size_t at = wire::v3PayloadStart(name_len);
+    for (std::size_t at = wire::payloadStart(name_len);
          at < bytes.size();) {
         starts.push_back(at);
-        std::uint32_t count = 0;
-        std::memcpy(&count, &bytes[at], sizeof(count));
-        at += wire::kChunkHeaderBytes + count * sizeof(Record);
+        const ChunkFields c = chunkAt(bytes, at);
+        at += wire::kChunkHeaderBytes +
+              (std::size_t{c.tableLen} + c.count) * sizeof(std::uint64_t);
     }
     return starts;
 }
 
+/** @p bytes with chunks @p i < @p j (of @p starts) swapped. */
+std::string
+swapChunks(const std::string& bytes, const std::vector<std::size_t>& starts,
+           std::size_t i, std::size_t j)
+{
+    const std::size_t end_i = starts[i + 1];
+    const std::size_t end_j =
+        j + 1 < starts.size() ? starts[j + 1] : bytes.size();
+    return bytes.substr(0, starts[i]) +
+           bytes.substr(starts[j], end_j - starts[j]) +
+           bytes.substr(end_i, starts[j] - end_i) +
+           bytes.substr(starts[i], end_i - starts[i]) +
+           bytes.substr(end_j);
+}
+
+/**
+ * Recompute the CRC of chunk @p index, whose header is at @p at, from
+ * its header fields and payload as they now stand, so the reader must
+ * catch a patched chunk by the check the patch targets, not by its
+ * checksum.
+ */
+void
+resealChunk(std::string& bytes, std::size_t at, std::uint64_t index)
+{
+    const ChunkFields c = chunkAt(bytes, at);
+    const std::size_t payload =
+        (std::size_t{c.tableLen} + c.count) * sizeof(std::uint64_t);
+    ASSERT_LE(at + wire::kChunkHeaderBytes + payload, bytes.size());
+    Crc32 crc;
+    crc.update(&index, sizeof(index));
+    crc.update(&bytes[at], 8);       // count, table length
+    crc.update(&bytes[at + 12], 12); // zero, instructions
+    crc.update(&bytes[at + wire::kChunkHeaderBytes], payload);
+    const std::uint32_t v = crc.value();
+    std::memcpy(&bytes[at + 8], &v, sizeof(v));
+}
+
 TEST(TraceIoTest, SeededMutationsReadBackOrFailTyped)
 {
-    // Generative fuzzing of the v3 decoder: every truncation through
+    // Generative fuzzing of the v4 decoder: every truncation through
     // the header and the first chunk header, then seeded duplications
     // of whole chunks, splices with another trace's image, splices of
     // the file with itself (dropping or repeating a byte range), and
     // truncations anywhere. A mutant must read back as the original
     // records or fail with CorruptInput/Io, in both modes; never crash,
-    // and never read back as anything else. Last, every swap of the
-    // short final chunk with an earlier one. Swaps of two full chunks
-    // are left out: v3 chunks carry no position, so such a file reads
-    // back without an error.
-    const Trace original = makeSuiteTrace(3, 8000);
+    // and never read back as anything else. Last, every swap of two
+    // chunks, full or short.
+    const Trace original = multiChunkTrace(3, 4);
     const auto want = recordsOf(original);
-    const std::string clean = bytesOf(original, 300);
-    const std::string donor = bytesOf(makeSuiteTrace(4, 8000), 300);
+    const std::string clean = bytesOf(original);
+    const std::string donor = bytesOf(multiChunkTrace(4, 4));
     const auto starts = chunkStarts(clean, original.name().size());
     ASSERT_GE(starts.size(), 4u);
 
@@ -531,24 +674,11 @@ TEST(TraceIoTest, SeededMutationsReadBackOrFailTyped)
                                  clean.substr(0, a));
         }
     }
-    const auto swapped = [&](std::size_t i, std::size_t j) {
-        // Chunks i < j as stored; the result holds j's bytes at i.
-        const std::size_t end_i = starts[i + 1];
-        const std::size_t end_j =
-            j + 1 < starts.size() ? starts[j + 1] : clean.size();
-        return clean.substr(0, starts[i]) +
-               clean.substr(starts[j], end_j - starts[j]) +
-               clean.substr(end_i, starts[j] - end_i) +
-               clean.substr(starts[i], end_i - starts[i]) +
-               clean.substr(end_j);
-    };
-    const std::size_t last = starts.size() - 1;
-    ASSERT_LT(clean.size() - starts[last], starts[1] - starts[0])
-        << "the last chunk must be the short one";
-    for (std::size_t k = 0; k < last; ++k)
-        mutants.emplace_back("chunk " + std::to_string(k) +
-                                 " swapped with the short last chunk",
-                             swapped(k, last));
+    for (std::size_t i = 0; i < starts.size(); ++i)
+        for (std::size_t j = i + 1; j < starts.size(); ++j)
+            mutants.emplace_back("chunks " + std::to_string(i) + " and " +
+                                     std::to_string(j) + " swapped",
+                                 swapChunks(clean, starts, i, j));
 
     TempPath p("mutant");
     for (const auto& [what, bytes] : mutants) {
@@ -573,17 +703,15 @@ TEST(TraceIoTest, SeededMutationsReadBackOrFailTyped)
     }
 }
 
-TEST(TraceIoTest, RejectsAShortChunkBeforeTheLast)
+/** A 300k-instruction scan.a dump, as `mrp_sim_cli --dump` writes it:
+ * some thirty full chunks and a short last one. */
+std::string
+scanDump(std::vector<std::size_t>& starts)
 {
-    // A 300k-instruction scan.a dump, as `mrp_sim_cli --dump` writes
-    // it, is one full chunk and a short one. With the two swapped,
-    // every CRC still holds and the file used to read back (and
-    // simulate) as a different trace; now the short chunk in first
-    // place is refused.
     const auto names = suiteNames();
     const auto idx = static_cast<unsigned>(
         std::find(names.begin(), names.end(), "scan.a") - names.begin());
-    ASSERT_LT(idx, names.size());
+    EXPECT_LT(idx, names.size());
     const auto spec = TraceSpec::suite(idx, 300000);
     TempPath p("dump");
     {
@@ -592,13 +720,109 @@ TEST(TraceIoTest, RejectsAShortChunkBeforeTheLast)
         w.finish();
     }
     const std::string bytes = readFile(p.str());
-    const auto starts = chunkStarts(bytes, spec.displayName().size());
-    ASSERT_EQ(starts.size(), 2u);
+    starts = chunkStarts(bytes, spec.displayName().size());
+    return bytes;
+}
+
+TEST(TraceIoTest, RejectsAShortChunkBeforeTheLast)
+{
+    // With the short last chunk swapped into first place, the file
+    // used to read back (and simulate) as a different trace. The short
+    // chunk is refused by its record count, before its CRC.
+    std::vector<std::size_t> starts;
+    const std::string bytes = scanDump(starts);
+    ASSERT_GE(starts.size(), 3u);
     const std::string swapped =
-        bytes.substr(0, starts[0]) + bytes.substr(starts[1]) +
-        bytes.substr(starts[0], starts[1] - starts[0]);
+        swapChunks(bytes, starts, 0, starts.size() - 1);
     ASSERT_EQ(swapped.size(), bytes.size());
     expectCorrupt(swapped, "only the last chunk may be short");
+}
+
+TEST(TraceIoTest, RejectsEverySwapOfTwoFullChunks)
+{
+    // Two full chunks swapped keep every count and every payload
+    // intact; each chunk's CRC covers its index, so the first chunk
+    // out of place fails its CRC.
+    std::vector<std::size_t> starts;
+    const std::string bytes = scanDump(starts);
+    const std::size_t full = starts.size() - 1;
+    ASSERT_GE(full, 20u);
+    for (std::size_t i = 0; i < full; ++i) {
+        for (std::size_t j = i + 1; j < full; ++j) {
+            SCOPED_TRACE("chunks " + std::to_string(i) + " and " +
+                         std::to_string(j));
+            expectCorrupt(swapChunks(bytes, starts, i, j),
+                          "chunk CRC mismatch");
+        }
+    }
+}
+
+TEST(TraceIoTest, ResealedChunkEditsFailTheCheckTheyTarget)
+{
+    // Each edit is re-sealed with a correct chunk CRC, so only the
+    // check it targets stands between it and the decoder.
+    const Trace original = multiChunkTrace(5, 3);
+    const std::string clean = bytesOf(original);
+    const auto starts = chunkStarts(clean, original.name().size());
+    ASSERT_GE(starts.size(), 3u);
+    const std::size_t at = starts[1]; // chunk 1, a full one
+    const ChunkFields c = chunkAt(clean, at);
+    ASSERT_EQ(c.count, Trace::kBlockRecords);
+    ASSERT_GE(c.tableLen, 2u);
+    const std::size_t words =
+        at + wire::kChunkHeaderBytes + c.tableLen * sizeof(std::uint64_t);
+
+    const auto patch32 = [&](std::size_t off, std::uint32_t v) {
+        std::string b = clean;
+        std::memcpy(&b[off], &v, sizeof(v));
+        return b;
+    };
+    const auto patchWord = [&](std::size_t k, std::uint64_t set_bits,
+                               std::uint64_t clear_bits) {
+        std::string b = clean;
+        std::uint64_t w = 0;
+        std::memcpy(&w, &b[words + 8 * k], 8);
+        w = (w & ~clear_bits) | set_bits;
+        std::memcpy(&b[words + 8 * k], &w, 8);
+        return b;
+    };
+    constexpr std::uint64_t kSlotBits = std::uint64_t{0xFFF} << 51;
+    const std::uint64_t out_of_table = std::uint64_t{c.tableLen} << 51;
+    std::uint64_t insts = 0;
+    std::memcpy(&insts, &clean[at + 16], 8);
+
+    struct Case
+    {
+        std::string what;
+        std::string bytes;
+        std::string needle;
+    };
+    std::vector<Case> cases = {
+        {"table length 0", patch32(at + 4, 0), "PC-table length 0"},
+        {"table length above the count",
+         patch32(at + 4, c.count + 1), "PC-table length"},
+        {"nonzero reserved field", patch32(at + 12, 1),
+         "reserved header field"},
+        {"short record count", patch32(at, c.count - 1),
+         "only the last chunk may be short"},
+        {"slot past the table in the first word",
+         patchWord(0, out_of_table, kSlotBits), "outside its"},
+        {"slot past the table in the last word",
+         patchWord(c.count - 1, kSlotBits, 0), "outside its"},
+        {"reserved bit 63 set", patchWord(7, std::uint64_t{1} << 63, 0),
+         "reserved bit 63"},
+        {"instruction total one high", clean,
+         "instruction count does not match its records"},
+    };
+    std::memcpy(&cases.back().bytes[at + 16], &(++insts), 8);
+    for (auto& [what, bytes, needle] : cases) {
+        SCOPED_TRACE(what);
+        std::uint32_t table_len = 0;
+        std::memcpy(&table_len, &bytes[at + 4], 4);
+        if (table_len >= 1 && table_len <= c.count)
+            resealChunk(bytes, at, 1);
+        expectCorrupt(bytes, needle);
+    }
 }
 
 TEST(TraceIoTest, OverlongNameIsAConfigErrorThatLeaksNothing)
@@ -640,8 +864,8 @@ TEST_F(TraceIoFaultTest, InjectedWriteCorruptionIsAlwaysDetected)
 {
     // "stream.write.corrupt" flips a bit of a chunk header as it is
     // written; every chunk is a hit, so the seed also picks the chunk.
-    const Trace original = makeSuiteTrace(2, 5000);
-    const std::size_t chunks = (original.records().size() + 499) / 500;
+    const Trace original = multiChunkTrace(2, 3);
+    const std::size_t chunks = original.blockCount();
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         fault::Spec spec;
         spec.kind = fault::Kind::CorruptByte;
@@ -667,10 +891,12 @@ TEST_F(TraceIoFaultTest, InjectedAllocFailureIsTypedResourceError)
     saveTrace(p.str(), makeSuiteTrace(2, 5000));
     fault::Spec spec;
     spec.kind = fault::Kind::AllocFail;
-    fault::Scoped f("stream.read.alloc", spec);
-    // Only buffered reads allocate; mmap serves spans of the map.
-    EXPECT_EQ(loadOutcome(p.str(), FileMode::Buffered).first,
-              ErrorCode::Resource);
+    // Both modes allocate the buffer chunks are decoded into.
+    for (const auto mode : kModes) {
+        fault::Scoped f("stream.read.alloc", spec);
+        EXPECT_EQ(loadOutcome(p.str(), mode).first, ErrorCode::Resource)
+            << modeName(mode);
+    }
 }
 
 TEST_F(TraceIoFaultTest, InjectedIoFailuresAreTypedIoErrors)

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <deque>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <ostream>
 #include <set>
 #include <string>
@@ -16,6 +21,8 @@
 #include "util/crc32.hpp"
 #include "util/hash.hpp"
 #include "util/history.hpp"
+#include "util/json_reader.hpp"
+#include "util/json_writer.hpp"
 #include "util/logging.hpp"
 #include "util/math_util.hpp"
 #include "util/types.hpp"
@@ -424,6 +431,102 @@ INSTANTIATE_TEST_SUITE_P(
         Crc32KernelCase{"Fold", detail::crc32Fold,
                         detail::crc32FoldAvailable}),
     [](const auto& info) { return std::string(info.param.name); });
+
+TEST(JsonReaderTest, AcceptsOnlyRfc8259NumbersAndStrings)
+{
+    struct Case
+    {
+        const char* text;
+        bool ok;
+    };
+    const Case cases[] = {
+        // Numbers: [-] (0 | [1-9][0-9]*) [. [0-9]+] [(e|E) [+|-] [0-9]+]
+        {"0", true},      {"-0", true},     {"7", true},
+        {"28", true},     {"-28", true},    {"0.5", true},
+        {"10.25", true},  {"1e5", true},    {"1E5", true},
+        {"1e+5", true},   {"1e-5", true},   {"-1.5e-07", true},
+        {"1e+20", true},  {"028", false},   {"00", false},
+        {"-028", false},  {"+5", false},    {"1.", false},
+        {".5", false},    {"-.5", false},   {"-", false},
+        {"1e", false},    {"1e+", false},   {"1.e5", false},
+        {"0x10", false},  {"1.5.5", false}, {"--1", false},
+        {"Infinity", false}, {"NaN", false}, {"inf", false},
+        {"- 1", false},
+        // Strings: control characters must be escaped.
+        {"\"a b\"", true},
+        {"\"tab\\tnewline\\n\"", true},
+        {"\"\\u0001\"", true},
+        {"\"raw\ttab\"", false},
+        {"\"raw\nnewline\"", false},
+        {"\"raw\x01 byte\"", false},
+        {"\"raw\x1f byte\"", false},
+        {"\"\x7f is fine\"", true},
+        // Inside documents.
+        {"[0, -1.5, 2e3]", true},
+        {"[01]", false},
+        {"{\"a\": +1}", false},
+        {"{\"a\": 1.}", false},
+        {"{\"k\\u0000\": 1}", true},
+        {"{\"k\x02\": 1}", false},
+    };
+    for (const auto& c : cases) {
+        json::Value v;
+        EXPECT_EQ(json::tryParseJson(c.text, &v), c.ok)
+            << "'" << c.text << "'";
+    }
+    json::Value v;
+    ASSERT_TRUE(json::tryParseJson("-1.5e-07", &v));
+    EXPECT_EQ(v.number, -1.5e-07);
+    ASSERT_TRUE(json::tryParseJson("\"tab\\tend\"", &v));
+    EXPECT_EQ(v.string, "tab\tend");
+}
+
+TEST(JsonReaderTest, EveryFormattedDoubleParsesBack)
+{
+    // Whatever formatDouble emits for a finite double is a JSON number
+    // that reads back as the same double.
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 2.5e-7, 1e20, 123456789.0,
+        6.02214076e23, std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest()};
+    Rng rng(7);
+    for (int i = 0; i < 2000; ++i) {
+        const double mag = std::ldexp(1.0 + static_cast<double>(
+                                                rng.below(1u << 30)) /
+                                                    (1u << 30),
+                                      static_cast<int>(rng.below(200)) -
+                                          100);
+        values.push_back(rng.below(2) != 0 ? mag : -mag);
+    }
+    for (const double d : values) {
+        const std::string text = json::formatDouble(d);
+        json::Value v;
+        ASSERT_TRUE(json::tryParseJson(text, &v)) << text;
+        EXPECT_EQ(v.number, d) << text;
+    }
+}
+
+TEST(JsonReaderTest, CommittedGoldensParse)
+{
+    // The telemetry and trace-event goldens hold every kind of number
+    // the exporters write.
+    const auto dir = std::filesystem::path(__FILE__).parent_path() /
+                     "golden";
+    std::size_t files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() != ".json")
+            continue;
+        std::ifstream f(entry.path(), std::ios::binary);
+        const std::string text{std::istreambuf_iterator<char>(f),
+                               std::istreambuf_iterator<char>()};
+        json::Value v;
+        EXPECT_TRUE(json::tryParseJson(text, &v)) << entry.path();
+        ++files;
+    }
+    EXPECT_GE(files, 3u);
+}
 
 } // namespace
 } // namespace mrp
