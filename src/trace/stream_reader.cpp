@@ -286,7 +286,7 @@ readChunkHead(ByteCursor& in, std::uint64_t index,
 
 /**
  * Check @p payload (the chunk's table, then its words) against its
- * CRC, then decode it into @p out with Trace::decodeBlock, which
+ * CRC, then decode it into @p out with Trace::decodeBlock<true>, which
  * checks every word as it goes; any finding is raised once the whole
  * block is decoded.
  */
@@ -302,7 +302,7 @@ decodeChunk(const ChunkHead& c, const std::uint64_t* payload,
         fatal(ErrorCode::CorruptInput,
               "chunk CRC mismatch in " + chunkAt(c) + ": stored " +
                   hex32(c.crc) + ", computed " + hex32(computed));
-    const Trace::BlockCheck check = Trace::decodeBlock(block, out);
+    const Trace::BlockCheck check = Trace::decodeBlock<true>(block, out);
     if (check.reservedBitSet) [[unlikely]]
         fatal(ErrorCode::CorruptInput,
               "corrupt " + chunkAt(c) +
@@ -691,13 +691,8 @@ ChunkedTraceWriter::append(const Trace& trace)
 {
     if (finished_) [[unlikely]]
         fatal(ErrorCode::Internal, "append() after finish() on " + path_);
-    if (pending_.size() != 0) {
-        // Off a block boundary the trace's blocks would straddle
-        // chunks, so its records are re-encoded.
-        MaterializedTraceSource src(trace);
-        appendAll(src);
-        return;
-    }
+    panicIf(pending_.size() != 0,
+            "ChunkedTraceWriter::append(const Trace&) off a block boundary");
     for (std::size_t i = 0; i < trace.blockCount(); ++i) {
         const Trace::Block block = trace.block(i);
         if (block.words.size() == Trace::kBlockRecords)

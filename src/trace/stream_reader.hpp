@@ -230,9 +230,10 @@ class ChunkedTraceWriter
     void append(std::span<const Record> records);
 
     /**
-     * Append @p trace's records. On a block boundary (always, unless
-     * records were appended before) its blocks are copied as stored,
-     * neither decoded nor re-encoded.
+     * Append @p trace's blocks as stored, neither decoded nor
+     * re-encoded. The writer must be on a block boundary: no partial
+     * block may be pending, so a fresh writer or one fed only whole
+     * blocks (saveTrace uses a fresh one).
      */
     void append(const Trace& trace);
 

@@ -5,11 +5,19 @@
 
 namespace mrp::trace {
 
+template <bool Checked>
 Trace::BlockCheck
 Trace::decodeBlock(Block block, Record* out)
 {
-    panicIf(block.pcs.empty(), "Trace::decodeBlock with an empty table");
     const Pc* table = block.pcs.data();
+    if constexpr (!Checked) {
+        for (std::size_t k = 0; k < block.words.size(); ++k) {
+            const std::uint64_t w = block.words[k];
+            out[k] = unpack(table[w >> kSlotShift], w);
+        }
+        return {};
+    }
+    panicIf(block.pcs.empty(), "Trace::decodeBlock with an empty table");
     const std::uint64_t last = block.pcs.size() - 1;
     // Bits 51-63 as one number: a slot, plus 4096 if the reserved bit
     // is set. Its maximum over the block answers both checks.
@@ -24,6 +32,9 @@ Trace::decodeBlock(Block block, Record* out)
     }
     return {max_slot > last, max_slot > kSlotMask, instructions};
 }
+
+template Trace::BlockCheck Trace::decodeBlock<true>(Block, Record*);
+template Trace::BlockCheck Trace::decodeBlock<false>(Block, Record*);
 
 InstCount
 Trace::instructionsOf(std::span<const std::uint64_t> words)
@@ -68,11 +79,9 @@ Trace::Records::decode(std::size_t first, std::span<Record> out) const
         const std::size_t table = tables_[block];
         const std::size_t table_end =
             block + 1 < blocks_ ? tables_[block + 1] : pcCount_;
-        const BlockCheck check = decodeBlock(
+        decodeBlock<false>(
             {{pcs_ + table, table_end - table}, {words_ + at, n}},
             out.data() + done);
-        panicIf(check.slotOutsideTable || check.reservedBitSet,
-                "Trace::Records::decode: a stored word is malformed");
         done += n;
     }
 }

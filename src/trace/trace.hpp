@@ -16,7 +16,8 @@
  * one chunk of a v4 trace file (trace/stream_reader.hpp): saveTrace
  * writes the blocks as stored, ChunkedTraceWriter encodes with
  * Trace::Encoder, and FileTraceSource decodes with decodeBlock, the
- * routine behind Records::decode.
+ * routine behind Records::decode (which skips the checks raw file
+ * bytes need).
  */
 
 #ifndef MRP_TRACE_TRACE_HPP
@@ -74,10 +75,14 @@ class Trace
     /**
      * Decode @p block's words (any run of one block's words, with that
      * block's whole non-empty table) into @p out, which has room for
-     * them. Branch-free in the words: a slot outside the table is
-     * clamped into it and reported, never read out of bounds, so raw
-     * file bytes decode safely and the caller judges the block once.
+     * them. With @p Checked (file bytes) the loop stays branch-free in
+     * the words: a slot outside the table is clamped into it and
+     * reported, never read out of bounds, and the counts are summed,
+     * so raw bytes decode safely and the caller judges the block once.
+     * Without it (a resident trace, whose words Encoder wrote) the
+     * words are trusted and the returned BlockCheck is empty.
      */
+    template <bool Checked>
     static BlockCheck decodeBlock(Block block, Record* out);
 
     /** Sum of the instruction counts of the records @p words hold. */
@@ -109,7 +114,7 @@ class Trace
         iterator end() const;
 
         /** Decode records [@p first, @p first + out.size()) into @p
-         * out, block by block with decodeBlock. */
+         * out, block by block with decodeBlock<false>. */
         void decode(std::size_t first, std::span<Record> out) const;
 
       private:

@@ -286,23 +286,20 @@ TEST(TraceIoTest, SaveTraceEqualsUnevenWriterAppends)
         expectEqualTraces(original, load(saved.str(), mode));
 }
 
-TEST(TraceIoTest, WriterAppendsATraceOffABlockBoundary)
+TEST(TraceIoTest, WriterRefusesATraceOffABlockBoundary)
 {
-    // A trace appended after loose records cannot keep its blocks; its
-    // records are re-encoded into the writer's blocks.
-    const Trace t = multiChunkTrace(9, 2);
-    const auto recs = recordsOf(t);
-    std::vector<Record> both = {Record::nonMem(0x400, 3)};
-    both.insert(both.end(), recs.begin(), recs.end());
+    // A trace's blocks are written as stored, so they cannot follow a
+    // partial block; the writer refuses rather than re-encoding. The
+    // trace is one whole block, so nothing else in append() panics.
+    const Trace whole(
+        "whole",
+        std::vector<Record>(Trace::kBlockRecords, Record::nonMem(0x500, 1)),
+        Trace::kBlockRecords);
     TempPath p("offset");
-    {
-        ChunkedTraceWriter w(p.str(), "both");
-        w.append(std::span<const Record>(both).first(1));
-        w.append(t);
-        w.finish();
-    }
-    expectEqualTraces(Trace("both", both, t.instructions() + 3),
-                      load(p.str(), FileMode::Buffered));
+    ChunkedTraceWriter w(p.str(), "both");
+    const Record r = Record::nonMem(0x400, 3);
+    w.append(std::span<const Record>(&r, 1));
+    EXPECT_THROW(w.append(whole), PanicError);
 }
 
 TEST(TraceIoTest, RejectsBadMagic)
