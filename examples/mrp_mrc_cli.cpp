@@ -12,21 +12,12 @@
  *               [--max-samples N] [--warmup F] [--jobs N]
  *               [--decode-ahead] [--out FILE]
  *               [--check-sim] [--tolerance-pp X]
- *               [--suggest-partition --llc-kb N --llc-ways W
- *                [--min-ways M] [--knee-fraction F]]
  *
  * --workloads profiles suite traces; --corpus the streaming families
  * ("zipf[:THETA]", "blkio", "phase") — the same corpus vocabulary the
  * sweep CLIs use. One pass produces every size on the ladder at once;
  * that is the whole point of the engine versus running a simulation
  * per size.
- *
- * --suggest-partition treats the corpus as one tenant per workload
- * and emits a knee-based LLC way split for the multi-tenant driver
- * (mrp_sim_cli --partition ...): each tenant's MRC knee — the
- * smallest profiled capacity capturing --knee-fraction of its
- * achievable miss-ratio reduction — sets its share of --llc-ways by
- * largest-remainder rounding over an --llc-kb cache.
  *
  * --check-sim closes the loop: after profiling it simulates an LRU
  * LLC (prefetching off — the configuration the stack model mirrors)
@@ -45,11 +36,11 @@
 #include <vector>
 
 #include "mrc/engine.hpp"
-#include "mrc/partition_advisor.hpp"
 #include "mrc/profile.hpp"
 #include "runner/experiment_runner.hpp"
 #include "runner/report.hpp"
 #include "sweep/objective.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -66,27 +57,8 @@ usage()
         "       [--mode exact|shards|shards-adj] [--rate-log2 K]\n"
         "       [--max-samples N] [--warmup F] [--jobs N]\n"
         "       [--decode-ahead] [--out FILE]\n"
-        "       [--check-sim] [--tolerance-pp X]\n"
-        "       [--suggest-partition --llc-kb N --llc-ways W\n"
-        "        [--min-ways M] [--knee-fraction F]]\n");
+        "       [--check-sim] [--tolerance-pp X]\n");
     return 2;
-}
-
-std::vector<std::string>
-splitCommas(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const auto comma = s.find(',', pos);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
 }
 
 struct Options
@@ -101,8 +73,6 @@ struct Options
     std::string outPath;
     bool checkSim = false;
     double tolerancePp = 2.0;
-    bool suggestPartition = false;
-    mrc::PartitionAdvisorConfig advisor;
 };
 
 /** The corpus at full length: suite indices and/or family names. */
@@ -222,19 +192,6 @@ run(int argc, char** argv)
             o.checkSim = true;
         } else if (arg == "--tolerance-pp") {
             o.tolerancePp = std::atof(next());
-        } else if (arg == "--suggest-partition") {
-            o.suggestPartition = true;
-        } else if (arg == "--llc-kb") {
-            o.advisor.llcBytes =
-                std::strtoull(next(), nullptr, 10) * 1024;
-        } else if (arg == "--llc-ways") {
-            o.advisor.llcWays = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--min-ways") {
-            o.advisor.minWays = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--knee-fraction") {
-            o.advisor.kneeFraction = std::atof(next());
         } else {
             return usage();
         }
@@ -250,18 +207,8 @@ run(int argc, char** argv)
     if (!o.outPath.empty()) {
         runner::writeFile(o.outPath, doc);
         std::fprintf(stderr, "wrote %s\n", o.outPath.c_str());
-    } else if (!o.suggestPartition) {
+    } else {
         std::fputs(doc.c_str(), stdout);
-    }
-
-    // One tenant per corpus entry: the advice document replaces the
-    // profile corpus on stdout (use --out to keep both).
-    if (o.suggestPartition) {
-        const auto advice =
-            mrc::suggestPartition(profiles, o.advisor);
-        std::fputs(advice.toJson(o.advisor).c_str(), stdout);
-        std::fprintf(stderr, "suggested --partition %s\n",
-                     advice.partitionFlag().c_str());
     }
 
     if (o.checkSim &&

@@ -18,22 +18,11 @@
  *               [--stream materialize|buffered|mmap] [--decode-ahead]
  *               [--chunk-records N]
  *   mrp_sim_cli --benchmark scan.a --dump file.mrpt   (export trace)
- *   mrp_sim_cli --mix scan.a,zipf [--partition 10,6]
- *               [--slo-mpki 2.5] [--qos] [--require-slo]
- *               [--qos-epoch N] [--qos-breach N] [--qos-calm N]
- *               [--qos-min-ways N] [--qos-hysteresis F]
- *               [--measure-cycles N] ...
+ *   mrp_sim_cli --mix scan.a,zipf [--measure-cycles N] ...
  *
- * Multi-tenant mode (see README "Multi-tenant LLC"): --mix runs a
- * comma-separated list of >= 2 benchmarks as one shared-LLC
- * multi-core run, one core per name. --partition pins each tenant
- * (= core) to a fixed way count (the counts must sum to the LLC's
- * associativity); --slo-mpki attaches MPKI ceilings (one value =
- * tenant 0, or a full comma list); --qos enables the epoch-driven
- * controller that moves one way per epoch toward breached SLOs.
- * --require-slo exits 1 when a final measured MPKI exceeds its
- * ceiling — the CI gate. Reports gain per-tenant outcome fields and
- * the QoS resize schedule, byte-identical at any --jobs.
+ * Mix mode: --mix runs a comma-separated list of >= 2 benchmarks as
+ * one shared-LLC multi-core run, one core per name, with reports
+ * byte-identical at any --jobs.
  *
  * Streaming (see README "Streaming traces"): traces are pulled chunk
  * by chunk through the TraceSource API, so a trace file is never fully
@@ -111,6 +100,7 @@
 #include "trace/stream_reader.hpp"
 #include "trace/workloads.hpp"
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -136,10 +126,6 @@ usage()
         "                   [--stream materialize|buffered|mmap]\n"
         "                   [--decode-ahead] [--chunk-records N]\n"
         "       mrp_sim_cli --mix NAME,NAME[,...]\n"
-        "                   [--partition W,W[,...]] [--slo-mpki S[,S...]]\n"
-        "                   [--qos] [--require-slo] [--qos-epoch N]\n"
-        "                   [--qos-breach N] [--qos-calm N]\n"
-        "                   [--qos-min-ways N] [--qos-hysteresis F]\n"
         "                   [--measure-cycles N] ...\n"
         "streaming benchmarks: zipf[:THETA], blkio, phase\n");
     return 2;
@@ -155,23 +141,6 @@ benchmarkIndex(const std::string& name)
         if (trace::heldOutName(i) == name)
             return 1000 + i;
     return std::nullopt;
-}
-
-std::vector<std::string>
-splitCommas(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const auto comma = s.find(',', pos);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
 }
 
 /** Streaming generator families addressable by --benchmark name. */
@@ -277,11 +246,6 @@ run(int argc, char** argv)
     std::string stream_mode = "buffered";
     trace::TraceSpec::OpenOptions oopts;
     std::string mix_arg;
-    std::vector<unsigned> partition;
-    std::vector<double> slo_mpki;
-    bool qos = false;
-    bool require_slo = false;
-    tenant::QosConfig qos_cfg;
     Cycle measure_cycles = 0; //!< 0 = driver default
 
     for (int i = 1; i < argc; ++i) {
@@ -360,31 +324,6 @@ run(int argc, char** argv)
             }
         } else if (arg == "--mix") {
             mix_arg = next();
-        } else if (arg == "--partition") {
-            for (const auto& w : splitCommas(next()))
-                partition.push_back(static_cast<unsigned>(
-                    std::strtoul(w.c_str(), nullptr, 10)));
-        } else if (arg == "--slo-mpki") {
-            for (const auto& s : splitCommas(next()))
-                slo_mpki.push_back(std::atof(s.c_str()));
-        } else if (arg == "--qos") {
-            qos = true;
-        } else if (arg == "--require-slo") {
-            require_slo = true;
-        } else if (arg == "--qos-epoch") {
-            qos_cfg.epochInstructions =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--qos-breach") {
-            qos_cfg.breachEpochs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--qos-calm") {
-            qos_cfg.calmEpochs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--qos-min-ways") {
-            qos_cfg.minWays = static_cast<std::uint32_t>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--qos-hysteresis") {
-            qos_cfg.hysteresisFrac = std::atof(next());
         } else if (arg == "--measure-cycles") {
             measure_cycles = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--decode-ahead") {
@@ -480,8 +419,6 @@ run(int argc, char** argv)
             cfg.telemetry.epochAccesses = epoch;
     }
 
-    // Multi-tenant mix configuration (the driver validates the
-    // partition against the LLC geometry and core count).
     sim::MultiCoreConfig mcfg;
     if (mix_mode) {
         const unsigned ncores =
@@ -500,29 +437,6 @@ run(int argc, char** argv)
             mcfg.telemetry.enabled = true;
             if (epoch > 0)
                 mcfg.telemetry.epochAccesses = epoch;
-        }
-        if (!partition.empty()) {
-            fatalIf(partition.size() != mix_specs.size(),
-                    ErrorCode::Config,
-                    "--partition needs one way count per --mix entry");
-            mcfg.tenancy.tenants.resize(ncores);
-            for (unsigned t = 0; t < ncores; ++t)
-                mcfg.tenancy.tenants[t].ways = partition[t];
-            if (!slo_mpki.empty()) {
-                fatalIf(slo_mpki.size() != 1 &&
-                            slo_mpki.size() != mix_specs.size(),
-                        ErrorCode::Config,
-                        "--slo-mpki wants one value (tenant 0) or "
-                        "one per tenant");
-                for (std::size_t t = 0; t < slo_mpki.size(); ++t)
-                    mcfg.tenancy.tenants[t].sloMpki = slo_mpki[t];
-            }
-            mcfg.tenancy.qos = qos_cfg;
-            mcfg.tenancy.qos.enabled = qos;
-        } else {
-            fatalIf(!slo_mpki.empty() || qos || require_slo,
-                    ErrorCode::Config,
-                    "--slo-mpki/--qos/--require-slo need --partition");
         }
     }
 
@@ -614,21 +528,6 @@ run(int argc, char** argv)
                     static_cast<unsigned long long>(r.instructions),
                     static_cast<unsigned long long>(
                         r.llcDemandMisses));
-        for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-            const auto& o = r.tenants[t];
-            std::printf("  tenant %zu: ways %u -> %u, mpki %.3f",
-                        t, o.waysInitial, o.waysFinal, o.mpki);
-            if (o.sloMpki > 0.0) {
-                const bool met = o.mpki <= o.sloMpki;
-                std::printf(" (slo %.3f %s)", o.sloMpki,
-                            met ? "met" : "VIOLATED");
-                if (require_slo && !met)
-                    failed = true;
-            }
-            std::printf("\n");
-        }
-        if (!r.tenants.empty())
-            std::printf("  qos resizes: %zu\n", r.qosSchedule.size());
     }
 
     const runner::ReportOptions opts{timing};

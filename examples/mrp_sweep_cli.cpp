@@ -51,27 +51,11 @@
 #include "sweep/study.hpp"
 #include "trace/spec.hpp"
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
 using namespace mrp;
-
-std::vector<std::string>
-splitCommas(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const auto comma = s.find(',', pos);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(pos));
-            break;
-        }
-        out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
 
 /** Every option, at its default. */
 struct SweepCliConfig

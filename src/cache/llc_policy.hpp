@@ -27,21 +27,8 @@ class MetricsRegistry;
 
 namespace mrp::cache {
 
-/**
- * Bitmask of ways a fill may use (bit w = way w allowed). Zero means
- * "unrestricted": the whole set is available. Way-partitioned policies
- * return a proper subset; the cache then confines both the
- * invalid-way scan and victim selection to it. Caps associativity at
- * 64 ways for partitioned configurations only.
- */
+/** No caller; kept only so perfbench/traced.cpp compiles. */
 using WayMask = std::uint64_t;
-
-/** Mask with the low @p ways bits set (ways == 64 yields all-ones). */
-constexpr WayMask
-fullWayMask(std::uint32_t ways)
-{
-    return ways >= 64 ? ~WayMask{0} : (WayMask{1} << ways) - 1;
-}
 
 /** Interface implemented by every LLC management policy. */
 class LlcPolicy
@@ -90,12 +77,7 @@ class LlcPolicy
     virtual std::uint32_t victimWay(const AccessInfo& info,
                                     std::uint32_t set) = 0;
 
-    /**
-     * Restrict which ways the fill for @p info may use in @p set.
-     * Zero (the default) means unrestricted. Way-partitioning policies
-     * return the owning tenant's partition mask; the cache confines
-     * the invalid-way scan and victim selection to it.
-     */
+    /** No caller; kept only so perfbench/traced.cpp compiles. */
     virtual WayMask
     fillWays(const AccessInfo& info, std::uint32_t set)
     {
@@ -104,12 +86,7 @@ class LlcPolicy
         return 0;
     }
 
-    /**
-     * Choose a victim among the ways set in @p mask (never zero, and
-     * every masked way is valid). The default delegates to victimWay —
-     * correct whenever fillWays returned "unrestricted"; policies that
-     * partition must override and stay inside the mask.
-     */
+    /** No caller; kept only so perfbench/traced.cpp compiles. */
     virtual std::uint32_t
     victimWayIn(const AccessInfo& info, std::uint32_t set, WayMask mask)
     {
@@ -117,11 +94,7 @@ class LlcPolicy
         return victimWay(info, set);
     }
 
-    /**
-     * The tenant (partition owner) an access belongs to; 0 when the
-     * cache is unpartitioned. Blocks are tagged with this at fill so
-     * tenants with colliding address spaces never cross-hit.
-     */
+    /** No caller; kept only so perfbench/traced.cpp compiles. */
     virtual std::uint32_t
     tenantOf(const AccessInfo& info) const
     {

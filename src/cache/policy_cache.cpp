@@ -9,7 +9,7 @@ PolicyCache::PolicyCache(Addr bytes, std::uint32_t ways,
     : geom_(bytes, ways), policy_(std::move(policy)),
       tags_(static_cast<std::size_t>(geom_.sets()) * geom_.ways(),
             kInvalidTag),
-      owners_(tags_.size(), 0), dirty_(tags_.size(), 0),
+      dirty_(tags_.size(), 0),
       validWays_(geom_.sets(), 0), demandMissesPerCore_(cores, 0)
 {
     fatalIf(!policy_, "PolicyCache requires a policy");
@@ -20,12 +20,11 @@ PolicyCache::PolicyCache(Addr bytes, std::uint32_t ways,
 }
 
 int
-PolicyCache::findWay(std::size_t base, std::uint64_t tag,
-                     std::uint32_t owner) const
+PolicyCache::findWay(std::size_t base, std::uint64_t tag) const
 {
     const std::uint64_t* tags = &tags_[base];
     for (std::uint32_t w = 0; w < geom_.ways(); ++w)
-        if (tags[w] == tag && owners_[base + w] == owner)
+        if (tags[w] == tag)
             return static_cast<int>(w);
     return -1;
 }
@@ -36,7 +35,6 @@ PolicyCache::access(const AccessInfo& info)
     const std::uint32_t set = geom_.setIndex(info.addr);
     const std::size_t base = static_cast<std::size_t>(set) * geom_.ways();
     const std::uint64_t tag = geom_.tag(info.addr);
-    const std::uint32_t owner = policy_->tenantOf(info);
 
     switch (info.type) {
       case AccessType::Load:
@@ -52,7 +50,7 @@ PolicyCache::access(const AccessInfo& info)
     }
 
     LlcResult result;
-    const int hit_way = findWay(base, tag, owner);
+    const int hit_way = findWay(base, tag);
     if (hit_way >= 0) {
         result.hit = true;
         if (info.type == AccessType::Writeback)
@@ -94,20 +92,13 @@ PolicyCache::access(const AccessInfo& info)
     for (LlcObserver* o : observers_)
         o->onAccess(info, false, set, -1);
 
-    // The fill may be confined to a partition; zero means the whole
-    // set is available.
-    const WayMask fill_mask = policy_->fillWays(info, set);
-    const WayMask allowed =
-        fill_mask != 0 ? fill_mask : fullWayMask(geom_.ways());
-
-    // Find an invalid allowed way first: bypassing when a way is free
-    // would waste capacity, so the policy is only consulted for full
-    // (within the partition) sets. A full set has no free way at all.
+    // Find an invalid way first: bypassing when a way is free would
+    // waste capacity, so the policy is only consulted for full sets. A
+    // full set has no free way at all.
     std::uint32_t fill_way = geom_.ways();
     if (validWays_[set] != geom_.ways()) {
         for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-            if ((allowed >> w & 1) != 0 &&
-                tags_[base + w] == kInvalidTag) {
+            if (tags_[base + w] == kInvalidTag) {
                 fill_way = w;
                 ++validWays_[set];
                 break;
@@ -122,12 +113,9 @@ PolicyCache::access(const AccessInfo& info)
                 o->onBypass(info, set);
             return result;
         }
-        fill_way = fill_mask != 0
-                       ? policy_->victimWayIn(info, set, fill_mask)
-                       : policy_->victimWay(info, set);
-        panicIf(fill_way >= geom_.ways() ||
-                    (allowed >> fill_way & 1) == 0,
-                "policy returned a victim way outside the fill mask");
+        fill_way = policy_->victimWay(info, set);
+        panicIf(fill_way >= geom_.ways(),
+                "policy returned a victim way outside the set");
         result.victim.valid = true;
         result.victim.blockAddress =
             geom_.blockAddrOf(set, tags_[base + fill_way]);
@@ -141,7 +129,6 @@ PolicyCache::access(const AccessInfo& info)
     }
 
     tags_[base + fill_way] = tag;
-    owners_[base + fill_way] = owner;
     dirty_[base + fill_way] = info.type == AccessType::Writeback ? 1 : 0;
     ++stats_.fills;
     policy_->onFill(info, set, fill_way);
@@ -153,25 +140,9 @@ PolicyCache::access(const AccessInfo& info)
 bool
 PolicyCache::contains(Addr addr) const
 {
-    // Presence check is owner-agnostic: any tenant's copy counts.
-    const std::uint64_t tag = geom_.tag(addr);
-    const std::uint64_t* tags =
-        &tags_[static_cast<std::size_t>(geom_.setIndex(addr)) *
-               geom_.ways()];
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w)
-        if (tags[w] == tag)
-            return true;
-    return false;
-}
-
-std::uint64_t
-PolicyCache::ownerBlockCount(std::uint32_t owner) const
-{
-    std::uint64_t n = 0;
-    for (std::size_t i = 0; i < tags_.size(); ++i)
-        if (tags_[i] != kInvalidTag && owners_[i] == owner)
-            ++n;
-    return n;
+    return findWay(static_cast<std::size_t>(geom_.setIndex(addr)) *
+                       geom_.ways(),
+                   geom_.tag(addr)) >= 0;
 }
 
 std::uint64_t

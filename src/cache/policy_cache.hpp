@@ -3,9 +3,9 @@
  * The shared last-level cache with a pluggable management policy.
  *
  * Block state is struct-of-arrays, set-major like BasicCache: u64 tags
- * (kInvalidTag, ~0, marks an invalid way), u32 tenant owners read only
- * after a tag match, and u8 dirty flags. A 16-way tag probe reads two
- * 64-byte host lines. Recency lives in the policy, not here.
+ * (kInvalidTag, ~0, marks an invalid way) and u8 dirty flags. A 16-way
+ * tag probe reads two 64-byte host lines. Recency lives in the policy,
+ * not here.
  *
  * Ways are never invalidated, so each set's count of valid ways (a u8;
  * ways <= 64) only rises. A miss in a full set — nearly every miss
@@ -41,8 +41,8 @@ struct LlcResult
 class PolicyCache
 {
   public:
-    /** Way sets travel as a 64-bit WayMask, so way 64 and up cannot
-     * be named; the constructor refuses wider caches. */
+    /** The widest set the constructor accepts; request documents
+     * refuse wider LLCs with the same bound. */
     static constexpr std::uint32_t kMaxWays = 64;
 
     PolicyCache(Addr bytes, std::uint32_t ways,
@@ -79,24 +79,19 @@ class PolicyCache
         return validWays_[set];
     }
 
-    /** Valid blocks currently owned by tenant @p owner (O(cache)). */
-    std::uint64_t ownerBlockCount(std::uint32_t owner) const;
-
     /** Zero all statistics (end of warmup). */
     void resetStats();
 
   private:
     static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
-    int findWay(std::size_t base, std::uint64_t tag,
-                std::uint32_t owner) const;
+    int findWay(std::size_t base, std::uint64_t tag) const;
 
     CacheGeometry geom_;
     std::unique_ptr<LlcPolicy> policy_;
     std::vector<LlcObserver*> observers_;
     // sets * ways each, set-major
     std::vector<std::uint64_t> tags_;
-    std::vector<std::uint32_t> owners_; //!< tenant id; 0 unpartitioned
     std::vector<std::uint8_t> dirty_;
     std::vector<std::uint8_t> validWays_; //!< per set
     stats::LevelStats stats_;

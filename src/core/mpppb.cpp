@@ -235,14 +235,6 @@ MpppbPolicy::victimWay(const cache::AccessInfo& info, std::uint32_t set)
                  : srrip_->victimWay(info, set);
 }
 
-std::uint32_t
-MpppbPolicy::victimWayIn(const cache::AccessInfo& info, std::uint32_t set,
-                         cache::WayMask mask)
-{
-    return mdpp_ ? mdpp_->victimWayIn(info, set, mask)
-                 : srrip_->victimWayIn(info, set, mask);
-}
-
 void
 MpppbPolicy::onFill(const cache::AccessInfo& info, std::uint32_t set,
                     std::uint32_t way)

@@ -93,9 +93,6 @@ class MpppbPolicy : public cache::LlcPolicy
                       std::uint32_t set) override;
     std::uint32_t victimWay(const cache::AccessInfo& info,
                             std::uint32_t set) override;
-    std::uint32_t victimWayIn(const cache::AccessInfo& info,
-                              std::uint32_t set,
-                              cache::WayMask mask) override;
     void onFill(const cache::AccessInfo& info, std::uint32_t set,
                 std::uint32_t way) override;
     void attachTelemetry(telemetry::MetricsRegistry& registry) override;

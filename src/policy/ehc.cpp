@@ -51,21 +51,12 @@ EhcPolicy::onHit(const cache::AccessInfo& info, std::uint32_t set,
 }
 
 std::uint32_t
-EhcPolicy::victimWay(const cache::AccessInfo& info, std::uint32_t set)
-{
-    return victimWayIn(info, set, cache::fullWayMask(ways_));
-}
-
-std::uint32_t
-EhcPolicy::victimWayIn(const cache::AccessInfo&, std::uint32_t set,
-                       cache::WayMask mask)
+EhcPolicy::victimWay(const cache::AccessInfo&, std::uint32_t set)
 {
     const std::size_t base = static_cast<std::size_t>(set) * ways_;
     std::uint32_t victim = ways_;
     std::int64_t victim_rem = 0;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if ((mask >> w & 1) == 0)
-            continue;
         const BlockState& b = blocks_[base + w];
         const std::int64_t rem = remainingOf(b);
         if (victim == ways_ || rem < victim_rem ||

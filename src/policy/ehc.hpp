@@ -1,8 +1,8 @@
 /**
  * @file
  * Expected Hit Count replacement (Vakil-Ghahani et al., CAL 2018,
- * arXiv:1808.05024) — the shared-cache competitor baseline staged in
- * PAPERS.md for the multi-tenant campaigns.
+ * arXiv:1808.05024), a shared-cache competitor baseline available
+ * by name ("EHC") in the policy registry.
  *
  * Each block counts the hits it has received since fill; a
  * PC-signature-indexed table remembers, as an EWMA trained at
@@ -42,9 +42,6 @@ class EhcPolicy : public cache::LlcPolicy
                std::uint32_t way) override;
     std::uint32_t victimWay(const cache::AccessInfo& info,
                             std::uint32_t set) override;
-    std::uint32_t victimWayIn(const cache::AccessInfo& info,
-                              std::uint32_t set,
-                              cache::WayMask mask) override;
     void onFill(const cache::AccessInfo& info, std::uint32_t set,
                 std::uint32_t way) override;
     void onEvict(std::uint32_t set, std::uint32_t way) override;

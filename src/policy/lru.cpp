@@ -38,25 +38,6 @@ LruPolicy::victimWay(const cache::AccessInfo&, std::uint32_t set)
     return victim;
 }
 
-std::uint32_t
-LruPolicy::victimWayIn(const cache::AccessInfo&, std::uint32_t set,
-                       cache::WayMask mask)
-{
-    // Stamps never reach ~0 (the clock counts touches), so the first
-    // masked way always replaces the sentinel; an empty mask yields ways_.
-    const std::uint64_t* stamps =
-        &stamps_[static_cast<std::size_t>(set) * ways_];
-    std::uint32_t victim = ways_;
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if ((mask >> w & 1) != 0 && stamps[w] < oldest) {
-            oldest = stamps[w];
-            victim = w;
-        }
-    }
-    return victim;
-}
-
 void
 LruPolicy::onFill(const cache::AccessInfo&, std::uint32_t set,
                   std::uint32_t way)
@@ -86,20 +67,6 @@ std::uint32_t
 RandomPolicy::victimWay(const cache::AccessInfo&, std::uint32_t)
 {
     return static_cast<std::uint32_t>(rng_.below(ways_));
-}
-
-std::uint32_t
-RandomPolicy::victimWayIn(const cache::AccessInfo&, std::uint32_t,
-                          cache::WayMask mask)
-{
-    // Uniform over the masked ways: pick the k-th set bit.
-    const unsigned count =
-        static_cast<unsigned>(__builtin_popcountll(mask));
-    std::uint64_t k = rng_.below(count);
-    for (std::uint32_t w = 0;; ++w) {
-        if ((mask >> w & 1) != 0 && k-- == 0)
-            return w;
-    }
 }
 
 } // namespace mrp::policy

@@ -165,17 +165,6 @@ PerceptronPolicy::victimWay(const cache::AccessInfo& info,
     return lru_.victimWay(info, set);
 }
 
-std::uint32_t
-PerceptronPolicy::victimWayIn(const cache::AccessInfo& info,
-                              std::uint32_t set, cache::WayMask mask)
-{
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w)
-        if ((mask >> w & 1) != 0 && deadBit_[base + w])
-            return w;
-    return lru_.victimWayIn(info, set, mask);
-}
-
 void
 PerceptronPolicy::onFill(const cache::AccessInfo& info, std::uint32_t set,
                          std::uint32_t way)

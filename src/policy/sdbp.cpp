@@ -142,17 +142,6 @@ SdbpPolicy::victimWay(const cache::AccessInfo& info, std::uint32_t set)
     return lru_.victimWay(info, set);
 }
 
-std::uint32_t
-SdbpPolicy::victimWayIn(const cache::AccessInfo& info, std::uint32_t set,
-                        cache::WayMask mask)
-{
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w)
-        if ((mask >> w & 1) != 0 && deadBit_[base + w])
-            return w;
-    return lru_.victimWayIn(info, set, mask);
-}
-
 void
 SdbpPolicy::onFill(const cache::AccessInfo& info, std::uint32_t set,
                    std::uint32_t way)

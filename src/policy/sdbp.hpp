@@ -90,9 +90,6 @@ class SdbpPolicy : public cache::LlcPolicy
                       std::uint32_t set) override;
     std::uint32_t victimWay(const cache::AccessInfo& info,
                             std::uint32_t set) override;
-    std::uint32_t victimWayIn(const cache::AccessInfo& info,
-                              std::uint32_t set,
-                              cache::WayMask mask) override;
     void onFill(const cache::AccessInfo& info, std::uint32_t set,
                 std::uint32_t way) override;
     void onEvict(std::uint32_t set, std::uint32_t way) override;

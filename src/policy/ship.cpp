@@ -49,13 +49,6 @@ ShipPolicy::victimWay(const cache::AccessInfo& info, std::uint32_t set)
     return rrip_.victimWay(info, set);
 }
 
-std::uint32_t
-ShipPolicy::victimWayIn(const cache::AccessInfo& info, std::uint32_t set,
-                        cache::WayMask mask)
-{
-    return rrip_.victimWayIn(info, set, mask);
-}
-
 void
 ShipPolicy::onFill(const cache::AccessInfo& info, std::uint32_t set,
                    std::uint32_t way)

@@ -44,9 +44,6 @@ class ShipPolicy : public cache::LlcPolicy
                std::uint32_t way) override;
     std::uint32_t victimWay(const cache::AccessInfo& info,
                             std::uint32_t set) override;
-    std::uint32_t victimWayIn(const cache::AccessInfo& info,
-                              std::uint32_t set,
-                              cache::WayMask mask) override;
     void onFill(const cache::AccessInfo& info, std::uint32_t set,
                 std::uint32_t way) override;
     void onEvict(std::uint32_t set, std::uint32_t way) override;

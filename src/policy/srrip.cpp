@@ -61,37 +61,6 @@ SrripPolicy::victimWay(const cache::AccessInfo&, std::uint32_t set)
     return victim;
 }
 
-std::uint32_t
-SrripPolicy::victimWayIn(const cache::AccessInfo&, std::uint32_t set,
-                         cache::WayMask mask)
-{
-    const std::size_t base = static_cast<std::size_t>(set) * ways_;
-    // Same aging scheme as victimWay, confined to the partition: the
-    // other tenants' re-reference state must not be disturbed.
-    unsigned oldest = 0;
-    std::uint32_t victim = ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if ((mask >> w & 1) == 0)
-            continue;
-        if (victim == ways_ || rrpv_[base + w] > oldest) {
-            oldest = rrpv_[base + w];
-            victim = w;
-        }
-    }
-    if (oldest < maxRrpv_) {
-        const unsigned delta = maxRrpv_ - oldest;
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            if ((mask >> w & 1) == 0)
-                continue;
-            rrpv_[base + w] = static_cast<std::uint8_t>(
-                rrpv_[base + w] + delta > maxRrpv_
-                    ? maxRrpv_
-                    : rrpv_[base + w] + delta);
-        }
-    }
-    return victim;
-}
-
 void
 SrripPolicy::onFill(const cache::AccessInfo&, std::uint32_t set,
                     std::uint32_t way)
@@ -148,13 +117,6 @@ std::uint32_t
 DrripPolicy::victimWay(const cache::AccessInfo& info, std::uint32_t set)
 {
     return rrip_.victimWay(info, set);
-}
-
-std::uint32_t
-DrripPolicy::victimWayIn(const cache::AccessInfo& info, std::uint32_t set,
-                         cache::WayMask mask)
-{
-    return rrip_.victimWayIn(info, set, mask);
 }
 
 void

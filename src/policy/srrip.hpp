@@ -38,9 +38,6 @@ class SrripPolicy : public cache::LlcPolicy
                std::uint32_t way) override;
     std::uint32_t victimWay(const cache::AccessInfo& info,
                             std::uint32_t set) override;
-    std::uint32_t victimWayIn(const cache::AccessInfo& info,
-                              std::uint32_t set,
-                              cache::WayMask mask) override;
     void onFill(const cache::AccessInfo& info, std::uint32_t set,
                 std::uint32_t way) override;
 
@@ -85,9 +82,6 @@ class DrripPolicy : public cache::LlcPolicy
     void onMiss(const cache::AccessInfo& info, std::uint32_t set) override;
     std::uint32_t victimWay(const cache::AccessInfo& info,
                             std::uint32_t set) override;
-    std::uint32_t victimWayIn(const cache::AccessInfo& info,
-                              std::uint32_t set,
-                              cache::WayMask mask) override;
     void onFill(const cache::AccessInfo& info, std::uint32_t set,
                 std::uint32_t way) override;
 

@@ -87,27 +87,6 @@ MdppPolicy::victimWay(const cache::AccessInfo&, std::uint32_t set)
     return tree_.victim(set);
 }
 
-std::uint32_t
-MdppPolicy::victimWayIn(const cache::AccessInfo&, std::uint32_t set,
-                        cache::WayMask mask)
-{
-    // The tree's global victim may live outside the partition; pick
-    // the masked way closest to eviction (max position), tie-breaking
-    // toward the lowest way for determinism.
-    std::uint32_t victim = tree_.ways();
-    std::uint32_t victim_pos = 0;
-    for (std::uint32_t w = 0; w < tree_.ways(); ++w) {
-        if ((mask >> w & 1) == 0)
-            continue;
-        const std::uint32_t pos = tree_.position(set, w);
-        if (victim == tree_.ways() || pos > victim_pos) {
-            victim = w;
-            victim_pos = pos;
-        }
-    }
-    return victim;
-}
-
 void
 MdppPolicy::onFill(const cache::AccessInfo&, std::uint32_t set,
                    std::uint32_t way)

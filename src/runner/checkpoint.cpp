@@ -244,51 +244,6 @@ class JsonParser
             return parseU64(&out.seed);
         if (key == "coreIpc")
             return parseDoubleArray(&out.coreIpc);
-        // Tenancy outcome, serialized as parallel flat arrays (the
-        // only aggregate shape this parser supports).
-        if (key == "tenantWaysInitial" || key == "tenantWaysFinal" ||
-            key == "tenantDemandMisses" ||
-            key == "tenantInstructions" || key == "tenantMpki" ||
-            key == "tenantSloMpki") {
-            std::vector<double> arr;
-            if (!parseDoubleArray(&arr))
-                return false;
-            if (out.tenants.size() < arr.size())
-                out.tenants.resize(arr.size());
-            for (std::size_t t = 0; t < arr.size(); ++t) {
-                auto& o = out.tenants[t];
-                if (key == "tenantWaysInitial")
-                    o.waysInitial = static_cast<std::uint32_t>(arr[t]);
-                else if (key == "tenantWaysFinal")
-                    o.waysFinal = static_cast<std::uint32_t>(arr[t]);
-                else if (key == "tenantDemandMisses")
-                    o.demandMisses = static_cast<std::uint64_t>(arr[t]);
-                else if (key == "tenantInstructions")
-                    o.instructions = static_cast<InstCount>(arr[t]);
-                else if (key == "tenantMpki")
-                    o.mpki = arr[t];
-                else
-                    o.sloMpki = arr[t];
-            }
-            return true;
-        }
-        if (key == "qosEpochs" || key == "qosFrom" || key == "qosTo") {
-            std::vector<double> arr;
-            if (!parseDoubleArray(&arr))
-                return false;
-            if (out.qosSchedule.size() < arr.size())
-                out.qosSchedule.resize(arr.size());
-            for (std::size_t i = 0; i < arr.size(); ++i) {
-                auto& q = out.qosSchedule[i];
-                if (key == "qosEpochs")
-                    q.epoch = static_cast<std::uint64_t>(arr[i]);
-                else if (key == "qosFrom")
-                    q.from = static_cast<unsigned>(arr[i]);
-                else
-                    q.to = static_cast<unsigned>(arr[i]);
-            }
-            return true;
-        }
         // Unknown key: tolerate forward-compatible additions if the
         // value is one of the shapes we know how to skip.
         std::string str;
@@ -335,60 +290,6 @@ resultJson(const RunResult& r)
             out += json::formatDouble(r.coreIpc[c]);
         }
         out += "]";
-    }
-    // Tenancy fields, omitted entirely for non-tenant runs (byte-compat
-    // with pre-tenant journals) and flattened to parallel numeric
-    // arrays — the only aggregate shape the journal parser accepts.
-    if (!r.tenants.empty()) {
-        const auto numArray = [&out, &r](const std::string& key,
-                                         auto&& get) {
-            out += ", \"" + key + "\": [";
-            for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-                if (t)
-                    out += ", ";
-                out += get(r.tenants[t]);
-            }
-            out += "]";
-        };
-        numArray("tenantWaysInitial", [](const auto& o) {
-            return std::to_string(o.waysInitial);
-        });
-        numArray("tenantWaysFinal", [](const auto& o) {
-            return std::to_string(o.waysFinal);
-        });
-        numArray("tenantDemandMisses", [](const auto& o) {
-            return std::to_string(o.demandMisses);
-        });
-        numArray("tenantInstructions", [](const auto& o) {
-            return std::to_string(o.instructions);
-        });
-        numArray("tenantMpki", [](const auto& o) {
-            return json::formatDouble(o.mpki);
-        });
-        numArray("tenantSloMpki", [](const auto& o) {
-            return json::formatDouble(o.sloMpki);
-        });
-        if (!r.qosSchedule.empty()) {
-            const auto qosArray = [&out, &r](const std::string& key,
-                                             auto&& get) {
-                out += ", \"" + key + "\": [";
-                for (std::size_t i = 0; i < r.qosSchedule.size(); ++i) {
-                    if (i)
-                        out += ", ";
-                    out += get(r.qosSchedule[i]);
-                }
-                out += "]";
-            };
-            qosArray("qosEpochs", [](const auto& q) {
-                return std::to_string(q.epoch);
-            });
-            qosArray("qosFrom", [](const auto& q) {
-                return std::to_string(q.from);
-            });
-            qosArray("qosTo", [](const auto& q) {
-                return std::to_string(q.to);
-            });
-        }
     }
     if (!r.ok()) {
         out += ", \"error\": \"" + json::escape(r.error) + "\"";

@@ -358,8 +358,6 @@ executeInto(const RunRequest& req, RunResult& out)
         }
         out.llcDemandMisses = r.llcDemandMisses;
         out.mpki = r.mpki;
-        out.tenants = r.tenants;
-        out.qosSchedule = r.qosSchedule;
         out.telemetry = r.telemetry;
         return;
     }

@@ -60,41 +60,6 @@ appendRunJson(std::string& out, const RunResult& r,
         }
         out += "]";
     }
-    // Tenancy outcome: emitted only for tenant-configured runs, so
-    // non-tenant reports stay byte-identical to earlier artifacts.
-    if (!r.tenants.empty()) {
-        out += ", \"tenants\": [";
-        for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-            const auto& o = r.tenants[t];
-            if (t)
-                out += ", ";
-            out += "{\"ways\": " + std::to_string(o.waysInitial);
-            out += ", \"waysFinal\": " + std::to_string(o.waysFinal);
-            out += ", \"demandMisses\": " +
-                   std::to_string(o.demandMisses);
-            out += ", \"instructions\": " +
-                   std::to_string(o.instructions);
-            out += ", \"mpki\": " + formatDouble(o.mpki);
-            if (o.sloMpki > 0.0)
-                out += ", \"sloMpki\": " + formatDouble(o.sloMpki);
-            out += "}";
-        }
-        out += "]";
-        out += ", \"qosResizes\": " +
-               std::to_string(r.qosSchedule.size());
-        if (!r.qosSchedule.empty()) {
-            out += ", \"qosSchedule\": [";
-            for (std::size_t i = 0; i < r.qosSchedule.size(); ++i) {
-                const auto& q = r.qosSchedule[i];
-                if (i)
-                    out += ", ";
-                out += "[" + std::to_string(q.epoch) + ", " +
-                       std::to_string(q.from) + ", " +
-                       std::to_string(q.to) + "]";
-            }
-            out += "]";
-        }
-    }
     if (r.telemetry)
         out += ", \"metrics\": " +
                telemetry::metricsJson(*r.telemetry, "    ");
@@ -167,19 +132,14 @@ toCsv(const RunSet& set, const ReportOptions& opts)
         "error_code";
     bool any_profile = false;
     bool any_seed = false;
-    bool any_tenant = false;
     for (const auto& r : set.results) {
         any_profile = any_profile || r.profile != nullptr;
         any_seed = any_seed || r.seed != 0;
-        any_tenant = any_tenant || !r.tenants.empty();
     }
     // The seed column appears only when some run was re-seeded, so
     // default-seeded CSV output is byte-identical to pre-seed output.
     if (any_seed)
         out += ",seed";
-    // Tenancy columns follow the same omit-when-absent discipline.
-    if (any_tenant)
-        out += ",tenant_ways_final,tenant_mpki,qos_resizes";
     if (opts.timing) {
         out += ",wall_seconds,insts_per_second";
         if (any_profile)
@@ -203,22 +163,6 @@ toCsv(const RunSet& set, const ReportOptions& opts)
                (r.ok() ? "" : errorCodeName(r.errorCode));
         if (any_seed)
             out += "," + std::to_string(r.seed);
-        if (any_tenant) {
-            std::string ways, mpki;
-            for (std::size_t t = 0; t < r.tenants.size(); ++t) {
-                if (t) {
-                    ways += ";";
-                    mpki += ";";
-                }
-                ways += std::to_string(r.tenants[t].waysFinal);
-                mpki += formatDouble(r.tenants[t].mpki);
-            }
-            out += "," + ways;
-            out += "," + mpki;
-            out += "," + (r.tenants.empty()
-                              ? std::string()
-                              : std::to_string(r.qosSchedule.size()));
-        }
         if (opts.timing) {
             out += "," + formatDouble(r.wallSeconds);
             out += "," + formatDouble(r.instsPerSecond);

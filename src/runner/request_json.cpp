@@ -319,60 +319,6 @@ driverFromJson(const Value& v, const std::string& what,
     d.seed = reqU64(v, "seed", what);
 }
 
-std::string
-tenancyJson(const tenant::TenancyConfig& t)
-{
-    std::string out = "{" + json::key("tenants") + "[";
-    for (std::size_t i = 0; i < t.tenants.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += "{" + json::key("ways") +
-               std::to_string(t.tenants[i].ways) + ", " +
-               json::key("sloMpki") +
-               json::formatDouble(t.tenants[i].sloMpki) + "}";
-    }
-    out += "], " + json::key("qos") + "{";
-    out += json::key("enabled") +
-           std::string(t.qos.enabled ? "true" : "false");
-    out += ", " + json::key("epochInstructions") +
-           std::to_string(t.qos.epochInstructions);
-    out += ", " + json::key("breachEpochs") +
-           std::to_string(t.qos.breachEpochs);
-    out += ", " + json::key("calmEpochs") +
-           std::to_string(t.qos.calmEpochs);
-    out += ", " + json::key("hysteresisFrac") +
-           json::formatDouble(t.qos.hysteresisFrac);
-    out += ", " + json::key("minWays") +
-           std::to_string(t.qos.minWays);
-    out += "}}";
-    return out;
-}
-
-tenant::TenancyConfig
-tenancyFromJson(const Value& v, const std::string& what)
-{
-    v.requireOnly({"tenants", "qos"}, what);
-    tenant::TenancyConfig t;
-    for (const auto& e : reqArr(v, "tenants", what).array) {
-        e.requireOnly({"ways", "sloMpki"}, what);
-        tenant::TenantConfig tc;
-        tc.ways = reqUnsigned(e, "ways", what);
-        tc.sloMpki = reqDouble(e, "sloMpki", what);
-        t.tenants.push_back(tc);
-    }
-    const auto& q = reqObj(v, "qos", what);
-    q.requireOnly({"enabled", "epochInstructions", "breachEpochs",
-                   "calmEpochs", "hysteresisFrac", "minWays"},
-                  what);
-    t.qos.enabled = reqBool(q, "enabled", what);
-    t.qos.epochInstructions = reqU64(q, "epochInstructions", what);
-    t.qos.breachEpochs = reqUnsigned(q, "breachEpochs", what);
-    t.qos.calmEpochs = reqUnsigned(q, "calmEpochs", what);
-    t.qos.hysteresisFrac = reqDouble(q, "hysteresisFrac", what);
-    t.qos.minWays = reqUnsigned(q, "minWays", what);
-    return t;
-}
-
 } // namespace
 
 std::string
@@ -413,11 +359,6 @@ requestJson(const RunRequest& request)
             std::get<sim::MultiCoreConfig>(request.config);
         out += driverJson(c) + ", " + json::key("measureCycles") +
                std::to_string(c.measureCycles);
-        // Tenancy is written only when configured, so non-tenant
-        // documents stay byte-identical to the pre-tenancy schema.
-        if (c.tenancy.configured())
-            out += ", " + json::key("tenancy") +
-                   tenancyJson(c.tenancy);
         out += "}";
     } else {
         out += driverJson(
@@ -466,14 +407,11 @@ requestFromJson(const json::Value& v, const std::string& what)
     const auto& cfg = reqObj(v, "config", what);
     if (mode == "multi") {
         cfg.requireOnly({"hierarchy", "warmupFraction",
-                         "warmupInstructions", "seed", "measureCycles",
-                         "tenancy"},
+                         "warmupInstructions", "seed", "measureCycles"},
                         what);
         sim::MultiCoreConfig c;
         driverFromJson(cfg, what, c);
         c.measureCycles = reqU64(cfg, "measureCycles", what);
-        if (const auto* t = cfg.get("tenancy"))
-            c.tenancy = tenancyFromJson(*t, what + " tenancy");
         r.config = std::move(c);
     } else {
         cfg.requireOnly({"hierarchy", "warmupFraction",

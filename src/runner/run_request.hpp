@@ -127,7 +127,7 @@ struct RunRequest
         return r;
     }
 
-    /** N-core mix (>= 2 sources); tenancy configs size to the mix. */
+    /** N-core mix (>= 2 sources) sharing one LLC. */
     static RunRequest
     multiCore(std::vector<trace::TraceSpec> mix, PolicySpec policy,
               sim::MultiCoreConfig cfg = {})
@@ -175,14 +175,10 @@ struct RunResult
     std::uint64_t llcDemandMisses = 0;
     std::uint64_t llcBypasses = 0;
     std::vector<double> coreIpc; //!< per-core IPCs (multi-core only)
-    /**
-     * Tenancy outcome, present iff the request configured tenants
-     * (empty vectors otherwise, and the report/journal fields are
-     * omitted for byte-compat with non-tenant artifacts). All values
-     * are simulated outcomes, so they survive checkpoint/resume.
-     */
+    /** Always empty; kept only so perfbench/traced.cpp compiles. */
     std::vector<sim::TenantOutcome> tenants;
-    std::vector<tenant::QosResize> qosSchedule;
+    /** Always empty; kept only so perfbench/traced.cpp compiles. */
+    std::vector<sim::QosResize> qosSchedule;
     /**
      * Present iff the request's config enabled telemetry. Excluded
      * from the checkpoint journal, so runs restored by --resume carry

@@ -6,14 +6,7 @@
  * all cores stay active for the whole measurement; warmup runs until a
  * total instruction budget is reached; each thread is then measured
  * over a fixed window of its own cycles. The driver takes any number
- * of cores >= 2 (the paper's mixes use 4).
- *
- * With a TenancyConfig the LLC is way-partitioned per core (one tenant
- * per core, private predictor state, owner-tagged blocks) and warmup
- * switches to a per-core share of the budget, which makes each
- * tenant's measured window a pure function of its own stream — the
- * fixed-partition isolation contract DESIGN.md documents. Enabling QoS
- * adds the epoch-driven partition resizer on top.
+ * of cores >= 2 (the paper's mixes use 4). All cores share the LLC.
  */
 
 #ifndef MRP_SIM_MULTI_CORE_HPP
@@ -28,8 +21,6 @@
 #include "cache/hierarchy.hpp"
 #include "sim/driver_config.hpp"
 #include "sim/policies.hpp"
-#include "tenant/config.hpp"
-#include "tenant/qos.hpp"
 #include "trace/source.hpp"
 #include "trace/trace.hpp"
 
@@ -50,23 +41,16 @@ struct MultiCoreConfig : DriverConfig
     MultiCoreConfig() { hierarchy = cache::multiCoreConfig(); }
 
     Cycle measureCycles = 500000; //!< per-core window
-
-    /**
-     * Optional multi-tenant LLC: one tenant per core. Empty (the
-     * default) preserves the shared-cache behaviour bit for bit.
-     */
-    tenant::TenancyConfig tenancy{};
 };
 
-/** Per-tenant outcome of a partitioned run (one per core). */
+/** Never built; kept only so perfbench/traced.cpp compiles. */
 struct TenantOutcome
 {
-    std::uint32_t waysInitial = 0; //!< configured partition size
-    std::uint32_t waysFinal = 0;   //!< partition size after QoS
-    std::uint64_t demandMisses = 0; //!< LLC demand misses, measured
-    InstCount instructions = 0;     //!< retired in the measured window
-    double mpki = 0.0;
-    double sloMpki = 0.0; //!< configured ceiling; 0 = best effort
+};
+
+/** Never built; kept only so perfbench/traced.cpp compiles. */
+struct QosResize
+{
 };
 
 /** Measured outcome of one multi-core mix run. */
@@ -81,10 +65,10 @@ struct MultiCoreResult
     /** Present iff cfg.telemetry.enabled; covers the measured window. */
     std::shared_ptr<const telemetry::RunTelemetry> telemetry;
 
-    /** One entry per core iff the run was tenancy-configured. */
+    /** Always empty; kept only so perfbench/traced.cpp compiles. */
     std::vector<TenantOutcome> tenants;
-    /** QoS resize schedule (empty unless QoS ran); deterministic. */
-    std::vector<tenant::QosResize> qosSchedule;
+    /** Always empty; kept only so perfbench/traced.cpp compiles. */
+    std::vector<QosResize> qosSchedule;
 
     /**
      * Weighted speedup given per-benchmark standalone IPCs:

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <list>
 #include <string>
 #include <vector>
@@ -14,7 +13,6 @@
 #include "cache/basic_cache.hpp"
 #include "cache/policy_cache.hpp"
 #include "policy/lru.hpp"
-#include "tenant/tenant_policy.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -402,8 +400,8 @@ TEST(PolicyCacheTest, FillsInvalidWaysBeforeAskingPolicy)
 
 TEST(PolicyCacheTest, WaysAreBoundedByTheWayMask)
 {
-    // 128 ways in one set is a valid geometry, but a WayMask cannot
-    // name way 64 and up, so the cache refuses it at construction.
+    // 128 ways in one set is a valid geometry, but the cache refuses
+    // anything wider than kMaxWays at construction.
     const CacheGeometry wide(128 * 64, 128);
     EXPECT_THROW(PolicyCache(128 * 64, 128,
                              std::make_unique<policy::LruPolicy>(wide), 1),
@@ -532,82 +530,6 @@ TEST(PolicyCacheTest, StatsByType)
     EXPECT_EQ(c.demandMissesOf(0), 0u);
 }
 
-/** LRU whose tenant is the requesting core, confined to half the set. */
-class TwoTenantLruPolicy : public policy::LruPolicy
-{
-  public:
-    using policy::LruPolicy::LruPolicy;
-
-    std::uint32_t
-    tenantOf(const AccessInfo& info) const override
-    {
-        return info.core;
-    }
-    WayMask
-    fillWays(const AccessInfo& info, std::uint32_t) override
-    {
-        return info.core == 0 ? 0b0011 : 0b1100;
-    }
-};
-
-/** Counts hits per core. */
-class HitsByCore : public LlcObserver
-{
-  public:
-    std::array<int, 2> hits{};
-
-    void
-    onAccess(const AccessInfo& info, bool hit, std::uint32_t,
-             int) override
-    {
-        hits[info.core] += hit ? 1 : 0;
-    }
-};
-
-TEST(PolicyCacheTest, TenantsHoldPrivateCopiesOfTheSameTag)
-{
-    const CacheGeometry g(256, 4); // one set
-    PolicyCache c(256, 4, std::make_unique<TwoTenantLruPolicy>(g), 2);
-    HitsByCore obs;
-    c.addObserver(obs);
-    const auto by = [](CoreId core, Addr a) {
-        AccessInfo info = demand(a);
-        info.core = core;
-        return info;
-    };
-    const Addr a = addrOf(0, 1, 1), b = addrOf(0, 2, 1),
-               d = addrOf(0, 3, 1);
-
-    EXPECT_FALSE(c.contains(a));
-    EXPECT_FALSE(c.access(by(0, a)).hit);
-    EXPECT_TRUE(c.contains(a));
-    // Tenant 1 does not see tenant 0's copy: it misses and fills its own.
-    EXPECT_FALSE(c.access(by(1, a)).hit);
-    EXPECT_EQ(c.ownerBlockCount(0), 1u);
-    EXPECT_EQ(c.ownerBlockCount(1), 1u);
-    EXPECT_TRUE(c.access(by(0, a)).hit);
-    EXPECT_TRUE(c.access(by(1, a)).hit);
-    EXPECT_TRUE(c.access(by(1, a)).hit);
-    EXPECT_EQ(obs.hits[0], 1);
-    EXPECT_EQ(obs.hits[1], 2);
-
-    // Tenant 0 pushes its copy of a out of its two ways.
-    EXPECT_FALSE(c.access(by(0, b)).hit);
-    const LlcResult r = c.access(by(0, d));
-    ASSERT_TRUE(r.victim.valid);
-    EXPECT_EQ(r.victim.blockAddress, a);
-    EXPECT_EQ(c.ownerBlockCount(0), 2u);
-    EXPECT_EQ(c.ownerBlockCount(1), 1u);
-    // Presence is owner-agnostic: tenant 1's copy still counts.
-    EXPECT_TRUE(c.contains(a));
-    EXPECT_FALSE(c.access(by(0, a)).hit);
-    EXPECT_TRUE(c.access(by(1, a)).hit);
-    EXPECT_EQ(obs.hits[0], 1);
-    EXPECT_EQ(obs.hits[1], 3);
-    EXPECT_EQ(c.demandMissesOf(0), 4u);
-    EXPECT_EQ(c.demandMissesOf(1), 1u);
-}
-
 /** LRU that bypasses a full set on a seeded coin flip; two instances
  * built with one seed make the same choices. */
 class CoinBypassLruPolicy : public policy::LruPolicy
@@ -631,8 +553,8 @@ class CoinBypassLruPolicy : public policy::LruPolicy
 /**
  * PolicyCache::access written plainly, as the reference for its
  * valid-way count: the same policy calls in the same order, but
- * validity is a flag per way and every miss scans the allowed ways for
- * a free one.
+ * validity is a flag per way and every miss scans the set for a free
+ * one.
  */
 class NaiveLlc
 {
@@ -641,12 +563,9 @@ class NaiveLlc
              std::unique_ptr<LlcPolicy> policy)
         : geom_(bytes, ways), policy_(std::move(policy)),
           valid_(static_cast<std::size_t>(geom_.sets()) * ways, false),
-          tags_(valid_.size(), 0), owners_(valid_.size(), 0),
-          dirty_(valid_.size(), false)
+          tags_(valid_.size(), 0), dirty_(valid_.size(), false)
     {
     }
-
-    LlcPolicy& policy() { return *policy_; }
 
     LlcResult
     access(const AccessInfo& info)
@@ -655,12 +574,11 @@ class NaiveLlc
         const std::size_t base =
             static_cast<std::size_t>(set) * geom_.ways();
         const std::uint64_t tag = geom_.tag(info.addr);
-        const std::uint32_t owner = policy_->tenantOf(info);
         const bool writeback = info.type == AccessType::Writeback;
         LlcResult r;
         for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
             const std::size_t i = base + w;
-            if (valid_[i] && tags_[i] == tag && owners_[i] == owner) {
+            if (valid_[i] && tags_[i] == tag) {
                 r.hit = true;
                 dirty_[i] = dirty_[i] || writeback;
                 policy_->onHit(info, set, w);
@@ -668,21 +586,17 @@ class NaiveLlc
             }
         }
         policy_->onMiss(info, set);
-        const WayMask mask = policy_->fillWays(info, set);
-        const WayMask allowed =
-            mask != 0 ? mask : fullWayMask(geom_.ways());
         std::uint32_t way = geom_.ways();
         for (std::uint32_t w = 0; w < geom_.ways() && way == geom_.ways();
              ++w)
-            if ((allowed >> w & 1) != 0 && !valid_[base + w])
+            if (!valid_[base + w])
                 way = w;
         if (way == geom_.ways()) {
             if (policy_->shouldBypass(info, set)) {
                 r.bypassed = true;
                 return r;
             }
-            way = mask != 0 ? policy_->victimWayIn(info, set, mask)
-                            : policy_->victimWay(info, set);
+            way = policy_->victimWay(info, set);
             r.victim.valid = true;
             r.victim.blockAddress =
                 geom_.blockAddrOf(set, tags_[base + way]);
@@ -691,7 +605,6 @@ class NaiveLlc
         }
         valid_[base + way] = true;
         tags_[base + way] = tag;
-        owners_[base + way] = owner;
         dirty_[base + way] = writeback;
         policy_->onFill(info, set, way);
         return r;
@@ -713,7 +626,6 @@ class NaiveLlc
     std::unique_ptr<LlcPolicy> policy_;
     std::vector<bool> valid_;
     std::vector<std::uint64_t> tags_;
-    std::vector<std::uint32_t> owners_;
     std::vector<bool> dirty_;
 };
 
@@ -722,42 +634,24 @@ TEST(PolicyCacheTest, FullSetSkipMatchesNaiveScan)
     // Differential check of the per-set valid-way count: random
     // traffic of every access type against NaiveLlc, comparing each
     // access's outcome and the accessed set's count. Policies: plain
-    // LRU, seeded coin-flip bypass, and a two-tenant partition whose
-    // masks move a way now and then (so a tenant's part of a set can
-    // be full while the set is not).
+    // LRU and seeded coin-flip bypass.
     struct Shape
     {
         std::uint32_t sets;
         std::uint32_t ways;
     };
-    enum class Kind { Lru, CoinBypass, Tenants };
+    enum class Kind { Lru, CoinBypass };
     for (const Shape shape : {Shape{8, 1}, Shape{8, 16}, Shape{4, 64}}) {
-        for (const Kind kind : {Kind::Lru, Kind::CoinBypass, Kind::Tenants}) {
-            if (kind == Kind::Tenants && shape.ways < 2)
-                continue;
+        for (const Kind kind : {Kind::Lru, Kind::CoinBypass}) {
             SCOPED_TRACE("ways " + std::to_string(shape.ways) + " kind " +
                          std::to_string(static_cast<int>(kind)));
             const Addr bytes =
                 Addr{shape.sets} * shape.ways * kBlockBytes;
             const CacheGeometry g(bytes, shape.ways);
-            tenant::TenancyConfig tenancy;
-            tenancy.tenants.resize(2);
-            tenancy.tenants[0].ways = shape.ways / 2;
-            tenancy.tenants[1].ways = shape.ways - shape.ways / 2;
             const auto make = [&]() -> std::unique_ptr<LlcPolicy> {
-                switch (kind) {
-                  case Kind::Lru:
-                      return std::make_unique<policy::LruPolicy>(g);
-                  case Kind::CoinBypass:
-                      return std::make_unique<CoinBypassLruPolicy>(g, 9);
-                  case Kind::Tenants:
-                      break;
-                }
-                return std::make_unique<tenant::TenantPartitionPolicy>(
-                    g, 2, tenancy,
-                    [](const CacheGeometry& geom, unsigned) {
-                        return std::make_unique<policy::LruPolicy>(geom);
-                    });
+                if (kind == Kind::Lru)
+                    return std::make_unique<policy::LruPolicy>(g);
+                return std::make_unique<CoinBypassLruPolicy>(g, 9);
             };
             PolicyCache dut(bytes, shape.ways, make(), 2);
             NaiveLlc ref(bytes, shape.ways, make());
@@ -765,17 +659,6 @@ TEST(PolicyCacheTest, FullSetSkipMatchesNaiveScan)
             Rng rng(shape.ways);
             const Addr pool = 3 * Addr{shape.sets} * shape.ways;
             for (int step = 0; step < 20000; ++step) {
-                if (kind == Kind::Tenants && rng.below(500) == 0) {
-                    const unsigned from = rng.below(2) == 0 ? 0u : 1u;
-                    auto& a = static_cast<tenant::TenantPartitionPolicy&>(
-                        dut.policy());
-                    auto& b = static_cast<tenant::TenantPartitionPolicy&>(
-                        ref.policy());
-                    if (a.partition().waysOf(from) >= 2) {
-                        a.partition().moveWay(from, 1 - from);
-                        b.partition().moveWay(from, 1 - from);
-                    }
-                }
                 AccessInfo info = demand(rng.below(pool) << kBlockShift,
                                          static_cast<AccessType>(
                                              rng.below(4)));

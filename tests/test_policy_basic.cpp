@@ -2,7 +2,7 @@
  * @file
  * Tests for the recency-based baseline policies: LRU ranks and victim
  * choice against a naive model, SRRIP, DRRIP set-dueling, tree-PLRU
- * positional placement, and MDPP.
+ * positional placement, MDPP, and the EHC baseline.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +11,14 @@
 #include <vector>
 
 #include "cache/policy_cache.hpp"
+#include "policy/ehc.hpp"
 #include "policy/lru.hpp"
 #include "policy/srrip.hpp"
 #include "policy/tree_plru.hpp"
+#include "sim/policies.hpp"
+#include "sim/single_core.hpp"
+#include "trace/source.hpp"
+#include "trace/workloads.hpp"
 #include "util/rng.hpp"
 
 namespace mrp::policy {
@@ -48,8 +53,8 @@ TEST(LruPolicyTest, RanksFollowTouchOrder)
 TEST(LruPolicyTest, VictimsMatchNaiveFirstMinimum)
 {
     // The naive model stamps a way on every hit or fill and picks the
-    // first way with the smallest stamp among those allowed. Untouched
-    // ways tie at stamp 0, so the lowest of them must win.
+    // first way with the smallest stamp. Untouched ways tie at stamp 0,
+    // so the lowest of them must win.
     const std::uint32_t sets = 4;
     for (const std::uint32_t ways : {1u, 2u, 3u, 8u, 16u, 64u}) {
         SCOPED_TRACE("ways " + std::to_string(ways));
@@ -58,40 +63,23 @@ TEST(LruPolicyTest, VictimsMatchNaiveFirstMinimum)
         LruPolicy lru(g);
         std::vector<std::uint64_t> stamps(sets * ways, 0);
         std::uint64_t clock = 0;
-        const auto naive = [&](std::uint32_t set, cache::WayMask mask) {
-            std::uint32_t victim = ways;
-            for (std::uint32_t w = 0; w < ways; ++w) {
-                if ((mask >> w & 1) == 0)
-                    continue;
-                if (victim == ways ||
-                    stamps[set * ways + w] < stamps[set * ways + victim])
+        const auto naive = [&](std::uint32_t set) {
+            std::uint32_t victim = 0;
+            for (std::uint32_t w = 1; w < ways; ++w)
+                if (stamps[set * ways + w] < stamps[set * ways + victim])
                     victim = w;
-            }
             return victim;
         };
         Rng rng(ways);
         const cache::AccessInfo info = demand(0);
-        const cache::WayMask all = cache::fullWayMask(ways);
         for (int step = 0; step < 20000; ++step) {
             const auto set = static_cast<std::uint32_t>(rng.below(sets));
-            // Dense, sparse and single-way masks; never empty.
-            cache::WayMask mask = rng.next() & all;
-            if (rng.below(2) == 0)
-                mask &= rng.next();
-            if (mask == 0)
-                mask = cache::WayMask{1} << rng.below(ways);
             const std::uint32_t victim = lru.victimWay(info, set);
-            ASSERT_EQ(victim, naive(set, all)) << "step " << step;
-            const std::uint32_t masked = lru.victimWayIn(info, set, mask);
-            ASSERT_EQ(masked, naive(set, mask)) << "step " << step;
+            ASSERT_EQ(victim, naive(set)) << "step " << step;
             // Fill the victim (as a cache would), or hit any way.
-            const std::uint64_t pick = rng.below(4);
-            if (pick == 0) {
+            if (rng.below(4) == 0) {
                 lru.onFill(info, set, victim);
                 stamps[set * ways + victim] = ++clock;
-            } else if (pick == 1) {
-                lru.onFill(info, set, masked);
-                stamps[set * ways + masked] = ++clock;
             } else {
                 const auto way = static_cast<std::uint32_t>(rng.below(ways));
                 lru.onHit(info, set, way);
@@ -259,6 +247,50 @@ TEST(MdppTest, RejectsOutOfRangePositions)
     MdppConfig cfg;
     cfg.insertPos = 16;
     EXPECT_THROW(MdppPolicy(g, cfg), FatalError);
+}
+
+TEST(EhcTest, RegisteredInPolicyRegistryAndRuns)
+{
+    const auto tr = trace::makeSuiteTrace(0, 80000);
+    trace::MaterializedTraceSource src(tr);
+    sim::SingleCoreConfig cfg;
+    cfg.hierarchy.llcBytes = 256 * 1024;
+    const auto r =
+        sim::runSingleCore(src, sim::PolicyRegistry::make("EHC"), cfg);
+    EXPECT_EQ(r.policy, "EHC");
+    EXPECT_GT(r.ipc, 0.0);
+    EXPECT_GT(r.llcDemandAccesses, 0u);
+}
+
+TEST(EhcTest, LearnsExpectedHitsPerSignature)
+{
+    const cache::CacheGeometry geom(64 * 1024, 4);
+    policy::EhcPolicy ehc(geom);
+    const Pc pc = 0x400bed;
+    cache::AccessInfo info;
+    info.pc = pc;
+    info.core = 0;
+
+    // Fill way 0 of set 0, hit it 3 times, then evict: the EWMA table
+    // must move toward 3 expected hits for this PC's signature.
+    info.addr = 0;
+    ehc.onFill(info, 0, 0);
+    for (int h = 0; h < 3; ++h)
+        ehc.onHit(info, 0, 0);
+    ehc.onEvict(0, 0);
+    const auto after_one = ehc.expectedHitsOf(pc);
+    EXPECT_GT(after_one, 0u);
+
+    for (int round = 0; round < 20; ++round) {
+        ehc.onFill(info, 0, 0);
+        for (int h = 0; h < 3; ++h)
+            ehc.onHit(info, 0, 0);
+        ehc.onEvict(0, 0);
+    }
+    // Converged near 3 hits; the table stores 4 fraction bits, so the
+    // raw value sits near 3 << 4 = 48.
+    EXPECT_GE(ehc.expectedHitsOf(pc), 2u << 4);
+    EXPECT_LE(ehc.expectedHitsOf(pc), 4u << 4);
 }
 
 } // namespace

@@ -177,7 +177,7 @@ TEST_F(QueueTest, RequestJsonRejectsBadHierarchyAsCorruptInput)
         {"l2Ways", "4294967304"}, // wraps to 8 if cast unchecked
         {"l2Bytes", "196608"},    // 3 * 64KB: non-power-of-two sets
         {"llcWays", "3"},
-        {"llcWays", "128"}, // valid geometry, but past the 64-bit WayMask
+        {"llcWays", "128"}, // valid geometry, but past PolicyCache::kMaxWays
         {"llcBytes", "0"},
         {"cores", "0"},
         {"cores", "65"},

@@ -192,35 +192,26 @@ TEST(TelemetryIntegrationTest, RunnerReportsEmbedMetrics)
     EXPECT_EQ(runner::toTraceJson(set1), trace_doc);
 }
 
-sim::MultiCoreConfig
-partitionedConfig()
+/**
+ * A shared mix resets the hierarchy's statistics at the end of warmup
+ * and attaches telemetry there, so DRAM traffic must be counted from
+ * that point like every other metric: under LRU (no bypass) each DRAM
+ * write is a dirty LLC eviction and each DRAM read a fill.
+ */
+TEST(TelemetryIntegrationTest, SharedMixMemTrafficCoversOnlyTheWindow)
 {
+    const auto t0 = trace::makeSuiteTrace(25, 150000); // gups.2x
+    const auto t1 = trace::makeSuiteTrace(7, 150000);  // thrash.2x
+    trace::MaterializedTraceSource s0(t0), s1(t1);
     sim::MultiCoreConfig cfg;
     cfg.hierarchy.llcBytes = 256 * 1024;
     cfg.warmupInstructions = 60000;
     cfg.measureCycles = 60000;
     cfg.telemetry.enabled = true;
     cfg.telemetry.epochAccesses = 5000;
-    cfg.tenancy.tenants.resize(2);
-    cfg.tenancy.tenants[0].ways = 12;
-    cfg.tenancy.tenants[1].ways = 4;
-    return cfg;
-}
-
-/**
- * Tenant runs never reset the hierarchy's statistics at the end of
- * warmup, so DRAM traffic must be counted from the attach point like
- * every other metric: under LRU (no bypass) each DRAM write is a dirty
- * LLC eviction and each DRAM read a fill.
- */
-TEST(TelemetryIntegrationTest, PartitionedMemTrafficCoversOnlyTheWindow)
-{
-    const auto t0 = trace::makeSuiteTrace(25, 150000); // gups.2x
-    const auto t1 = trace::makeSuiteTrace(7, 150000);  // thrash.2x
-    trace::MaterializedTraceSource s0(t0), s1(t1);
     const auto r = sim::runMultiCore(
         std::vector<trace::TraceSource*>{&s0, &s1},
-        sim::PolicyRegistry::make("LRU"), partitionedConfig());
+        sim::PolicyRegistry::make("LRU"), cfg);
     ASSERT_NE(r.telemetry, nullptr);
     const auto& t = *r.telemetry;
     ASSERT_EQ(metric(t, "llc.bypasses").counter, 0u);
@@ -262,7 +253,7 @@ TEST(TelemetryIntegrationTest, EpochSnapshotPrecedesTheClosingFill)
 
 /**
  * The golden batch: single-core LRU, MPPPB and MIN plus one
- * unpartitioned mix, every run at 5000 LLC accesses per epoch.
+ * shared mix, every run at 5000 LLC accesses per epoch.
  */
 runner::RunSet
 goldenBatch()

@@ -28,6 +28,7 @@
 #include "util/types.hpp"
 #include "util/rng.hpp"
 #include "util/sat_counter.hpp"
+#include "util/strings.hpp"
 
 namespace mrp {
 namespace {
@@ -206,6 +207,27 @@ TEST(MathUtil, GeomeanAndMean)
     EXPECT_THROW(geomean({}), FatalError);
     EXPECT_THROW(geomean({0.0}), FatalError);
     EXPECT_THROW(mean({}), FatalError);
+}
+
+TEST(StringsTest, SplitCommasKeepsEveryEmptyField)
+{
+    struct Case
+    {
+        const char* text;
+        std::vector<std::string> fields;
+    };
+    const Case cases[] = {
+        {"", {""}},
+        {"a", {"a"}},
+        {"a,b", {"a", "b"}},
+        {"a,,b", {"a", "", "b"}},
+        {"a,", {"a", ""}},
+        {",a", {"", "a"}},
+        {",", {"", ""}},
+        {"LRU,MPPPB,MIN", {"LRU", "MPPPB", "MIN"}},
+    };
+    for (const Case& c : cases)
+        EXPECT_EQ(splitCommas(c.text), c.fields) << "\"" << c.text << "\"";
 }
 
 TEST(HashTest, MixIsDeterministicAndSpreads)
